@@ -626,6 +626,63 @@ let a2 () =
   cell "host + native (the rewrite)" (fun () ->
       ignore (Docgen.generate ~engine:`Host ~backend:Spec.Native_queries model ~template:tpl))
 
+(* Model ingest on the cold-generate model shape (60 users x 80 likes,
+   relations dominate the XML): the tree path (parse, then import the
+   tree) against import_string, which builds the model from the
+   scanner's events. Arms alternate within each pair, so drift hits
+   both; the gate is the ratio of the arms' best times. *)
+let a3_ingest () =
+  let mm = Awb.Samples.it_architecture in
+  let shape =
+    {
+      Awb.Synth.users = 60;
+      systems = 8;
+      programs = 12;
+      documents = 6;
+      likes_per_user = 80;
+      uses_per_user = 20;
+    }
+  in
+  let xml = Awb.Xml_io.export_string (Awb.Synth.generate ~seed:1 shape) in
+  let mb = float_of_int (String.length xml) /. 1e6 in
+  Printf.printf "  cold-generate model shape: %d bytes\n" (String.length xml);
+  let doc = Xml_base.Parser.parse_string xml in
+  let tree () = Awb.Xml_io.import mm (Xml_base.Parser.parse_string xml) in
+  let stream () = Awb.Xml_io.import_string mm xml in
+  let pairs = if quick then 7 else 15 in
+  let best_tree = ref Float.infinity and best_stream = ref Float.infinity in
+  for i = 1 to pairs do
+    let run_tree () = best_tree := Float.min !best_tree (snd (time_ms tree)) in
+    let run_stream () = best_stream := Float.min !best_stream (snd (time_ms stream)) in
+    if i mod 2 = 0 then (run_tree (); run_stream ()) else (run_stream (); run_tree ())
+  done;
+  let parse_ms = best_ms ~k:pairs (fun () -> ignore (Xml_base.Parser.parse_string xml)) in
+  Printf.printf "  %-28s %10.1f MB/s\n" "tree parse" (mb /. (parse_ms /. 1000.));
+  Printf.printf "  %-28s %10.3f ms\n" "tree import (parsed doc)"
+    (best_ms ~k:pairs (fun () -> ignore (Awb.Xml_io.import mm doc)));
+  Printf.printf "  %-28s %10.3f ms\n" "parse + tree import" !best_tree;
+  Printf.printf "  %-28s %10.3f ms\n" "import_string" !best_stream;
+  (* Footprint of one imported model; the relations carry no properties,
+     so their property tables are pure overhead. *)
+  let m = stream () in
+  let words = Obj.reachable_words (Obj.repr m) in
+  let rels = Awb.Model.relations m in
+  let rel_prop_words =
+    List.fold_left (fun acc r -> acc + Obj.reachable_words (Obj.repr r.M.rprops)) 0 rels
+  in
+  Printf.printf "  imported model: %d words (%.1f MB); %d relations' property tables: %d words\n"
+    words
+    (float_of_int (words * (Sys.word_size / 8)) /. 1e6)
+    (List.length rels) rel_prop_words;
+  let speedup = !best_tree /. !best_stream in
+  Printf.printf "  import_string speedup over parse + tree import: %.2fx (gate: >= 1.5x)\n"
+    speedup;
+  if speedup < 1.5 then begin
+    Printf.eprintf "bench: import_string is only %.2fx faster than parse + tree import\n"
+      speedup;
+    exit 1
+  end
+
 (* A3: substrate throughput — XML parse/serialize and model export. *)
 let a3 () =
   section "A3 (ablation) - substrate throughput";
@@ -640,7 +697,8 @@ let a3 () =
   Printf.printf "  %-24s %10.3f ms\n" "serialize"
     (best_ms (fun () -> ignore (Xml_base.Serialize.to_string doc)));
   Printf.printf "  %-24s %10.3f ms\n" "import (rebuild model)"
-    (best_ms (fun () -> ignore (Awb.Xml_io.import Awb.Samples.it_architecture doc)))
+    (best_ms (fun () -> ignore (Awb.Xml_io.import Awb.Samples.it_architecture doc)));
+  a3_ingest ()
 
 (* A4: the stream splitter, direct vs via the XSLT engine. *)
 let a4 () =

@@ -13,7 +13,10 @@ let load_model sample model_file =
   | Some "glass", None -> Ok (Awb.Samples.glass_model ())
   | Some other, None -> Error (Printf.sprintf "unknown sample %S (banking|glass)" other)
   | None, Some path -> (
-    try Ok (Awb.Xml_io.import Awb.Samples.it_architecture (Xml_base.Parser.parse_file path))
+    try
+      Ok
+        (Awb.Xml_io.import_string Awb.Samples.it_architecture
+           (In_channel.with_open_bin path In_channel.input_all))
     with Failure m | Sys_error m -> Error m)
   | None, None -> Ok (Awb.Samples.banking_model ())
   | Some _, Some _ -> Error "choose one of --sample or --model"

@@ -133,7 +133,7 @@ let save_snapshot t model =
 let load_version t n =
   let path = snapshot_file t n in
   if Sys.file_exists path then
-    Some (Xml_io.import t.mm (Xml_base.Parser.parse_string (read_file path)))
+    Some (Xml_io.import_string t.mm (read_file path))
   else None
 
 let load_latest t =

@@ -57,65 +57,140 @@ let parse_value kind text =
   | "html" -> Model.V_html text
   | _ -> Model.V_string text
 
-let read_properties elt =
-  List.map
-    (fun p ->
-      let pname =
-        match N.attr p "name" with
-        | Some n -> n
-        | None -> failwith "awb-model: <property> without a name"
-      in
-      let kind = Option.value ~default:"string" (N.attr p "kind") in
-      (pname, parse_value kind (N.string_value p)))
-    (N.child_elements_named elt "property")
+(* The import rules, fed the events of one export. Each element is
+   checked in a fixed order (its attributes, then its properties, then
+   the insert into the model), so a scan and a replayed tree find the
+   same first model error. That error is held back until the events are
+   done: a scan must still raise Parse_error for malformed XML later in
+   the text. *)
+
+(* The <node> or <relation> being read, its attribute checks passed. *)
+type item =
+  | No_item
+  | Node_item of { id : string; ntype : string }
+  | Relation_item of {
+      attrs : (string * string) list;
+      rtype : string;
+      source : Model.node;
+      target : Model.node;
+    }
+
+type importer = {
+  model : Model.t;
+  mutable depth : int; (* open elements *)
+  mutable seen_root : bool;
+  mutable error : exn option;
+  mutable item : item;
+  mutable props : (string * Model.value) list; (* reversed *)
+  mutable prop : (string * string) option; (* name and kind of an open <property> *)
+  mutable text : string list; (* its character data, reversed *)
+}
+
+(* A required attribute; [what] names it in the error. *)
+let required attrs elt a what =
+  match List.assoc_opt a attrs with
+  | Some v -> v
+  | None -> failwith (Printf.sprintf "awb-model: <%s> without %s" elt what)
+
+let start_item im name attrs =
+  match name with
+  | "node" ->
+    let id = required attrs "node" "id" "an id" in
+    Node_item { id; ntype = Option.value ~default:"Element" (List.assoc_opt "type" attrs) }
+  | "relation" ->
+    let endpoint a =
+      let id = required attrs "relation" a a in
+      match Model.find_node im.model id with
+      | Some n -> n
+      | None -> failwith (Printf.sprintf "awb-model: dangling %s %s" a id)
+    in
+    let source = endpoint "source" in
+    let target = endpoint "target" in
+    Relation_item { attrs; rtype = required attrs "relation" "type" "type"; source; target }
+  | other -> failwith (Printf.sprintf "awb-model: unexpected element <%s>" other)
+
+let finish_item im =
+  let props = List.rev im.props in
+  (match im.item with
+  | No_item -> ()
+  | Node_item { id; ntype } -> ignore (Model.add_node im.model ~id ~props ntype)
+  | Relation_item { attrs; rtype; source; target } ->
+    let id = required attrs "relation" "id" "id" in
+    ignore (Model.relate im.model ~id ~props rtype ~source ~target));
+  im.item <- No_item;
+  im.props <- []
+
+(* [depth] counts the elements open around this one. *)
+let start_element im name attrs =
+  match im.depth with
+  | 0 ->
+    im.seen_root <- true;
+    if name <> "awb-model" then failwith "awb-model: missing root element"
+  | 1 -> im.item <- start_item im name attrs
+  | 2 when name = "property" ->
+    let pname = required attrs "property" "name" "a name" in
+    im.prop <- Some (pname, Option.value ~default:"string" (List.assoc_opt "kind" attrs));
+    im.text <- []
+  | _ -> ()
+
+let end_element im =
+  match (im.depth, im.prop) with
+  | 2, Some (pname, kind) ->
+    let text = match im.text with [ s ] -> s | l -> String.concat "" (List.rev l) in
+    im.props <- (pname, parse_value kind text) :: im.props;
+    im.prop <- None
+  | 1, _ -> finish_item im
+  | _ -> ()
+
+let capture im f =
+  if im.error = None then
+    try f () with (Failure _ | Invalid_argument _) as e -> im.error <- Some e
+
+(* Feed [events] a handler over a fresh importer; return the model. *)
+let build mm events =
+  let im =
+    {
+      model = Model.create mm;
+      depth = 0;
+      seen_root = false;
+      error = None;
+      item = No_item;
+      props = [];
+      prop = None;
+      text = [];
+    }
+  in
+  events
+    {
+      Xml_base.Parser.start_element =
+        (fun name attrs ->
+          capture im (fun () -> start_element im name attrs);
+          im.depth <- im.depth + 1);
+      end_element =
+        (fun () ->
+          im.depth <- im.depth - 1;
+          capture im (fun () -> end_element im));
+      text = (fun s -> if im.error = None && im.prop <> None then im.text <- s :: im.text);
+      comment = ignore;
+      pi = (fun ~target:_ -> ignore);
+    };
+  match im.error with
+  | Some e -> raise e
+  | None ->
+    if not im.seen_root then failwith "awb-model: missing root element";
+    im.model
+
+let import_string mm s = build mm (fun h -> Xml_base.Parser.scan h s)
 
 let import mm doc =
   let root =
     match
       List.find_opt (fun k -> N.is_element k && N.name k = "awb-model") (N.children doc)
     with
-    | Some r -> Some r
-    | None -> if N.is_element doc && N.name doc = "awb-model" then Some doc else None
+    | Some r -> r
+    | None -> doc
   in
-  let root =
-    match root with Some r -> r | None -> failwith "awb-model: missing root element"
-  in
-  let model = Model.create mm in
-  List.iter
-    (fun elt ->
-      match N.name elt with
-      | "node" ->
-        let id =
-          match N.attr elt "id" with
-          | Some i -> i
-          | None -> failwith "awb-model: <node> without an id"
-        in
-        let ntype = Option.value ~default:"Element" (N.attr elt "type") in
-        ignore (Model.add_node model ~id ~props:(read_properties elt) ntype)
-      | "relation" ->
-        let get a =
-          match N.attr elt a with
-          | Some v -> v
-          | None -> failwith (Printf.sprintf "awb-model: <relation> without %s" a)
-        in
-        let source =
-          match Model.find_node model (get "source") with
-          | Some n -> n
-          | None -> failwith (Printf.sprintf "awb-model: dangling source %s" (get "source"))
-        in
-        let target =
-          match Model.find_node model (get "target") with
-          | Some n -> n
-          | None -> failwith (Printf.sprintf "awb-model: dangling target %s" (get "target"))
-        in
-        ignore
-          (Model.relate model ~id:(get "id") ~props:(read_properties elt) (get "type")
-             ~source ~target)
-      | other -> failwith (Printf.sprintf "awb-model: unexpected element <%s>" other))
-    (N.child_elements root);
-  model
-
-let import_string mm s = import mm (Xml_base.Parser.parse_string s)
+  build mm (fun h -> Xml_base.Parser.replay h root)
 
 let export_metamodel mm =
   let node_type name =

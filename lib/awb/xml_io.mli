@@ -20,12 +20,24 @@ val export : Model.t -> Xml_base.Node.t
 
 val export_string : Model.t -> string
 
-val import : Metamodel.t -> Xml_base.Node.t -> Model.t
-(** Rebuild a model from its export. Unknown node/relation types and
-    undeclared properties are accepted (advisory metamodel); structural
-    problems (missing ids, dangling endpoints) raise [Failure]. *)
-
 val import_string : Metamodel.t -> string -> Model.t
+(** Rebuild a model from its export text. The model is built from the
+    events of {!Xml_base.Parser.scan}; no tree is materialized. Unknown
+    node/relation types and undeclared properties are accepted (advisory
+    metamodel). Errors, in this order of precedence:
+    - malformed XML raises {!Xml_base.Parser.Parse_error}, even where a
+      model error comes earlier in the text;
+    - a structural problem (wrong root element, an unexpected element, a
+      missing id, type, source, target or property name, a dangling
+      endpoint) raises [Failure];
+    - a duplicate node or relation id raises [Invalid_argument].
+    Model errors are checked in the order of a walk over the export, and
+    the first one found is raised. *)
+
+val import : Metamodel.t -> Xml_base.Node.t -> Model.t
+(** The same import from a parsed export (a document, or its
+    [awb-model] element): the tree's events go through the rules of
+    {!import_string}, with the same results and errors. *)
 
 val export_metamodel : Metamodel.t -> Xml_base.Node.t
 (** The metamodel as XML, for consumers that must reason about the type

@@ -223,6 +223,9 @@ type t = {
   queries : Xquery.Engine.compiled Lru.t;
   stylesheets : Xslt.stylesheet Lru.t;
   results : cached_result Lru.t;
+  mutable model_digest : (string * string) option;
+      (* the last [Model_xml] export digested, and its digest: a server's
+         configured model is the same string on every request *)
   mutable value_model_keys : (Awb.Model.t * string) list;
       (* identity keys for pre-built Model_value models (no content to
          hash); bounded — beyond the cap such requests are just not
@@ -273,6 +276,7 @@ let create ?(config = default_config) () =
     queries = Lru.create ~capacity:config.cache_capacity;
     stylesheets = Lru.create ~capacity:config.cache_capacity;
     results = Lru.create ~capacity:config.result_cache_cap;
+    model_digest = None;
     value_model_keys = [];
     quarantine = Hashtbl.create 16;
     inflight = Hashtbl.create 16;
@@ -336,11 +340,21 @@ let template_of_source t = function
         N.prepare_document_order tpl;
         tpl)
 
+(* One-slot memo on the export string's physical identity; the digest
+   itself is computed outside the lock. *)
+let model_digest t xml =
+  match with_lock t (fun () -> t.model_digest) with
+  | Some (x, d) when x == xml -> d
+  | _ ->
+    let d = digest xml in
+    with_lock t (fun () -> t.model_digest <- Some (xml, d));
+    d
+
 let model_of_source t = function
   | Model_value m -> m
   | Model_xml { metamodel; xml } ->
     cached t t.models
-      (Printf.sprintf "model:%s:%s" (Awb.Metamodel.name metamodel) (digest xml))
+      (Printf.sprintf "model:%s:%s" (Awb.Metamodel.name metamodel) (model_digest t xml))
       (fun () -> Awb.Xml_io.import_string metamodel xml)
 
 (* Fold one freshly compiled program's optimizer stats into the service

@@ -216,6 +216,145 @@ let prop_roundtrip =
       let s = IO.export_string m in
       IO.export_string (IO.import_string mm s) = s)
 
+(* [import_string] builds the model straight from the scanner's events;
+   [import] replays a parsed tree into the same rules. Both must agree
+   on every input: the same export, or the same exception and message. *)
+let import_outcome f =
+  match f () with
+  | m -> "model " ^ IO.export_string m
+  | exception Xml_base.Parser.Parse_error { line; col; message } ->
+    Printf.sprintf "parse error %d:%d %s" line col message
+  | exception Failure m -> "failure " ^ m
+  | exception Invalid_argument m -> "invalid " ^ m
+
+let same_import s =
+  let streamed = import_outcome (fun () -> IO.import_string mm s) in
+  let via_tree = import_outcome (fun () -> IO.import mm (Xml_base.Parser.parse_string s)) in
+  if streamed = via_tree then true
+  else QCheck.Test.fail_reportf "import_string: %s\nimport: %s" streamed via_tree
+
+let test_parse_error_outranks_model_error () =
+  (* Each model error comes first in the text, the malformed XML later:
+     the tree path parses first, so malformed XML wins. *)
+  List.iter
+    (fun s ->
+      (match IO.import_string mm s with
+      | exception Xml_base.Parser.Parse_error _ -> ()
+      | _ -> Alcotest.fail ("expected a parse error: " ^ s));
+      check bool_t "same as the tree path" true (same_import s))
+    [
+      "<awb-model><relation id=\"R1\" type=\"has\" source=\"N1\" target=\"N2\"/>\
+       <node id=\"N1\"></awb-model>";
+      "<awb-model><node id=\"N1\"/><node id=\"N1\"/><node id=\"N2\" id=\"N3\"/></awb-model>";
+      "<model><node id=\"N1\"/></model><!-- unterminated";
+    ];
+  check bool_t "wrong root" true (same_import "<model><node id=\"N1\"/></model>")
+
+(* Within one element the checks run attributes first, then properties,
+   then the insert into the model; the first failing check names the
+   error. These messages pin that order on both import paths. *)
+let test_model_error_order () =
+  let two = "<awb-model><node id=\"A\" type=\"User\"/><node id=\"B\" type=\"User\"/>" in
+  let nameless = "<property>x</property>" in
+  List.iter
+    (fun (body, want) ->
+      let s = two ^ body ^ "</awb-model>" in
+      check bool_t ("same as the tree path: " ^ body) true (same_import s);
+      check string_t body want (import_outcome (fun () -> IO.import_string mm s)))
+    [
+      ( "<relation source=\"A\" target=\"B\">" ^ nameless ^ "</relation>",
+        "failure awb-model: <relation> without type" );
+      ( "<relation type=\"t\" source=\"A\" target=\"B\">" ^ nameless ^ "</relation>",
+        "failure awb-model: <property> without a name" );
+      ( "<relation id=\"R\" type=\"t\" target=\"C\">" ^ nameless ^ "</relation>",
+        "failure awb-model: <relation> without source" );
+      ( "<relation id=\"R\" type=\"t\" source=\"A\" target=\"B\"/>\
+         <relation id=\"R\" type=\"t\" source=\"A\" target=\"B\">" ^ nameless ^ "</relation>",
+        "failure awb-model: <property> without a name" );
+      ( "<relation id=\"R\" type=\"t\" source=\"A\" target=\"B\"/>\
+         <relation id=\"R\" type=\"t\" source=\"A\" target=\"B\"/>",
+        "invalid Awb.Model: duplicate relation id R" );
+      ("<node type=\"User\">" ^ nameless ^ "</node>", "failure awb-model: <node> without an id");
+      ("<node id=\"A\">" ^ nameless ^ "</node>", "failure awb-model: <property> without a name");
+      ("<node id=\"A\"/><surprise/>", "invalid Awb.Model: duplicate node id A");
+    ]
+
+(* An export with every construct the scanner treats specially. *)
+let rich_export =
+  "<?xml version=\"1.0\"?>\n<!DOCTYPE awb-model [ <!ENTITY x \"y\"> ]>\n<!-- lead -->\n\
+   <awb-model metamodel=\"it-architecture\">\n\
+   <node id=\"N1\" type=\"User\"><property name=\"name\">A &amp; <![CDATA[<b>]]> \
+   <!-- c --> z&#x41;</property><other>skipped<property name=\"zz\">q</property></other>\
+   <property name=\"age\" kind=\"int\"> 42 </property></node>\n\
+   <node id=\"N2\" type=\"User\"><property name=\"h\" kind=\"html\">&lt;p&gt;x<i>in</i>y\
+   </property><property name=\"on\" kind=\"bool\">true</property></node>\n\
+   <relation id=\"R1\" type=\"likes\" source=\"N1\" target=\"N2\">\
+   <property name=\"w\" kind=\"int\">1</property></relation>\n\
+   <!-- mid --><?pi data?>\n</awb-model>\n<!-- trailing --><?done x?>\n"
+
+let import_bases =
+  lazy
+    (Array.of_list
+       (rich_export
+       :: List.map IO.export_string
+            [
+              Awb.Samples.banking_model ();
+              Awb.Samples.glass_model ();
+              Awb.Synth.generate_of_size ~seed:3 30;
+              Awb.Synth.generate_of_size ~seed:4 60;
+            ]))
+
+(* Offsets of [pat] in [s]. *)
+let occurrences s pat =
+  let n = String.length pat in
+  let rec go i acc =
+    if i + n > String.length s then List.rev acc
+    else go (i + 1) (if String.sub s i n = pat then i :: acc else acc)
+  in
+  go 0 []
+
+let splice s at drop ins =
+  String.sub s 0 at ^ ins ^ String.sub s (at + drop) (String.length s - at - drop)
+
+(* Mutation [kind] applied at the [k]-th matching site (mod the count). *)
+let mutate s (kind, k) =
+  let at pat f = match occurrences s pat with [] -> s | l -> f (List.nth l (k mod List.length l)) in
+  let len = String.length s in
+  match kind with
+  | 0 -> String.sub s 0 (k mod (len + 1))
+  | 1 ->
+    let bytes = "<>&\"'/=;!-x\n" in
+    splice s (k mod len) 1 (String.make 1 bytes.[k / 7 mod String.length bytes])
+  | 2 -> at "<node " (fun i -> splice s (i + 5) 0 " type=\"Dup\"")
+  | 3 ->
+    let attr = [| " id=\""; " type=\""; " source=\""; " target=\""; " name=\"" |].(k mod 5) in
+    at attr (fun i -> splice s i (String.index_from s (i + String.length attr) '"' + 1 - i) "")
+  | 4 -> at " target=\"" (fun i -> splice s (i + 9) 0 "gone-")
+  | 5 -> Str.global_replace (Str.regexp_string "awb-model") "wrong-root" s
+  | 6 -> at "</node>" (fun i -> splice s (i + 7) 0 "<surprise/>")
+  | 7 ->
+    let bits = [| "&amp;x"; "<![CDATA[<y>]]>"; "<!-- c -->"; "&#x41;"; "<b>in</b>"; "<?p?>" |] in
+    at "</property>" (fun i -> splice s i 0 bits.(k / 3 mod Array.length bits))
+  | _ ->
+    (* Duplicate a whole <node> element: a duplicate id. *)
+    at "<node " (fun i ->
+        match List.find_opt (fun j -> j > i) (occurrences s "<node " @ occurrences s "<relation ") with
+        | Some j -> splice s j 0 (String.sub s i (j - i))
+        | None -> s)
+
+let prop_import_differential =
+  let gen =
+    QCheck.Gen.(
+      pair (int_bound 4) (list_size (int_bound 3) (pair (int_bound 8) (int_bound 1_000_000))))
+  in
+  let print (b, ms) =
+    Printf.sprintf "base %d, mutations [%s]" b
+      (String.concat "; " (List.map (fun (k, n) -> Printf.sprintf "%d@%d" k n) ms))
+  in
+  QCheck.Test.make ~name:"import_string agrees with import of the parsed tree" ~count:300
+    (QCheck.make gen ~print)
+    (fun (b, ms) -> same_import (List.fold_left mutate (Lazy.force import_bases).(b) ms))
+
 let suite =
   [
     ( "awb.metamodel",
@@ -237,6 +376,9 @@ let suite =
         Alcotest.test_case "export shape" `Quick test_export_shape;
         Alcotest.test_case "round-trip" `Quick test_roundtrip;
         Alcotest.test_case "dangling endpoints rejected" `Quick test_import_rejects_dangling;
+        Alcotest.test_case "parse errors outrank model errors" `Quick
+          test_parse_error_outranks_model_error;
+        Alcotest.test_case "model error order" `Quick test_model_error_order;
       ] );
     ( "awb.validate",
       [
@@ -250,7 +392,8 @@ let suite =
         Alcotest.test_case "deterministic" `Quick test_synth_deterministic;
         Alcotest.test_case "shape" `Quick test_synth_shape;
       ] );
-    ("awb.properties", [ QCheck_alcotest.to_alcotest prop_roundtrip ]);
+    ( "awb.properties",
+      List.map QCheck_alcotest.to_alcotest [ prop_roundtrip; prop_import_differential ] );
   ]
 
 (* ------------------------------------------------------------------ *)

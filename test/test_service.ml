@@ -93,7 +93,22 @@ let test_model_cache_hits () =
     (ok_exn r2).Service.document;
   let c = Service.counters t in
   check int_t "one model miss" 1 c.Service.model_misses;
-  check int_t "one model hit" 1 c.Service.model_hits
+  check int_t "one model hit" 1 c.Service.model_hits;
+  (* The digest is memoized on the string's identity; the key must still
+     follow the content: an equal copy hits, another model misses, and
+     the first string hits again after it. *)
+  let other = Awb.Xml_io.export_string (Awb.Samples.glass_model ()) in
+  List.iter
+    (fun xml ->
+      let model = Service.Model_xml { metamodel = Awb.Samples.it_architecture; xml } in
+      ignore
+        (ok_exn
+           (Service.run t
+              (Service.request ~id:"c" ~template:(Service.Template_xml users_tpl) ~model ()))))
+    [ Bytes.to_string (Bytes.of_string xml); other; xml ];
+  let c = Service.counters t in
+  check int_t "misses: one per distinct export" 2 c.Service.model_misses;
+  check int_t "hits: equal content, any string" 3 c.Service.model_hits
 
 let test_query_cache_via_xq_engine () =
   let t = svc () in

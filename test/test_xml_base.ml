@@ -175,10 +175,34 @@ let test_parse_errors () =
   check bool_t "trailing garbage" true (fails "<a/><b/>");
   check bool_t "lt in attr" true (fails "<a x=\"<\"/>")
 
+(* Positions are derived from the byte offset of the error; these are
+   the line, column and message the parser has always reported. *)
 let test_parse_error_position () =
-  match parse "<a>\n  <b></c>\n</a>" with
-  | exception P.Parse_error { line; _ } -> check int_t "line" 2 line
-  | _ -> Alcotest.fail "expected a parse error"
+  List.iter
+    (fun (src, want_line, want_col, want_message) ->
+      match parse src with
+      | exception P.Parse_error { line; col; message } ->
+        check int_t (src ^ ": line") want_line line;
+        check int_t (src ^ ": col") want_col col;
+        check string_t (src ^ ": message") want_message message
+      | _ -> Alcotest.fail ("expected a parse error: " ^ src))
+    [
+      ("<a>\n  <b></c>\n</a>", 2, 9, "mismatched closing tag: expected </b>, found </c>");
+      ("<a>\n  <b x=\"1\" x=\"2\"/>\n</a>", 2, 17, "duplicate attribute x");
+      ("<a>\n\n  text &nope; more\n</a>", 3, 14, "unknown entity &nope;");
+      ("<a>\n  <b x=\"<\"/>\n</a>", 2, 9, "'<' not allowed in attribute value");
+      ("<a>\n  <!-- never closed\n\n", 4, 1, "unterminated comment");
+      ( "<?xml version=\"1.0\"?>\n<a>\n  <b>\n</a>",
+        4,
+        4,
+        "mismatched closing tag: expected </b>, found </a>" );
+      ("<a>\n  &#xZZ;\n</a>", 2, 6, "empty character reference");
+      ("<a>\n  <b>&#1114112;</b>\n</a>", 2, 16, "character reference out of range");
+      ("\n\n  <a/>\n  <b/>\n", 4, 3, "trailing content after the root element");
+      ("<a>\n  <b\n     y='1'\n     z=2/>\n</a>", 4, 8, "expected a quoted attribute value");
+      ("<a>\n  <![CDATA[ open\n", 3, 1, "unterminated CDATA section");
+      ("<a>\n  <b>\n", 3, 1, "expected '<', found '\\000'");
+    ]
 
 let test_parse_fragment () =
   let items = P.parse_fragment "hello <b>world</b> bye" in
