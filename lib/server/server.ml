@@ -325,13 +325,11 @@ let metrics_body t =
 (* Connection lifecycle                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 (* The one place a connection dies: the socket closes and the buffer
    goes back to the pool. Exclusive ownership makes double-close a
    logic bug, not a runtime hazard. *)
 let close_conn t conn =
-  close_quiet conn.cfd;
+  Backend.close_quiet conn.cfd;
   Buffer_pool.checkin t.buffers conn.cbuf
 
 (* Wake the watcher out of its select: a byte down the self-pipe. The
@@ -1303,12 +1301,12 @@ let rec drain_now t =
     idle_wake t;
     (match t.watcher with Some th -> Thread.join th | None -> ());
     t.watcher <- None;
-    close_quiet (fst t.idle_wake);
-    close_quiet (snd t.idle_wake);
+    Backend.close_quiet (fst t.idle_wake);
+    Backend.close_quiet (snd t.idle_wake);
     (match t.listen_fd with
     | Some fd ->
       t.listen_fd <- None;
-      close_quiet fd
+      Backend.close_quiet fd
     | None -> ());
     (* The shard cluster (if any) drains last: in-flight forwards are
        done, so every backend exits as soon as it finishes its frame. *)

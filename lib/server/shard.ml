@@ -8,13 +8,13 @@
    only its own caches with it, the supervisor respawns it, and the
    router fails the in-flight keys over to ring successors meanwhile.
 
-   Backends are spawned by fork+exec of the host binary itself
-   ([Sys.executable_name] with a [--shard-backend] argv marker and the
-   spec in an environment variable) — never by fork alone, which is not
-   survivable from a multi-domain, multi-thread OCaml front process.
-   Any binary that calls {!maybe_run_backend} first thing in main can
-   host a backend, so the server, the tests, and the bench all spawn
-   clusters without knowing each other's paths.
+   Spawn (a [--shard-backend] re-exec of the host binary), the
+   connection pool, the chaos-wrapped framed call, the serve loop, and
+   reap and drain are {!Backend}'s; this module keeps the generate
+   codec, the ring, hedging, health and work probes, and rolling
+   restart. Any binary that calls {!maybe_run_backend} first thing in
+   main can host a backend, so the server, the tests, and the bench all
+   spawn clusters without knowing each other's paths.
 
    Wire protocol: Frame's length-prefixed, CRC32-trailed binary frames
    (see frame.ml for the framing itself), one per message:
@@ -41,8 +41,6 @@
 let spec_env = "AWBSERVE_SHARD_SPEC"
 let backend_flag = "--shard-backend"
 
-exception Protocol_error = Frame.Protocol_error
-
 let perr = Frame.perr
 let add_u8 = Frame.add_u8
 let add_u16 = Frame.add_u16
@@ -52,8 +50,6 @@ let get_u8 = Frame.get_u8
 let get_u16 = Frame.get_u16
 let get_u32 = Frame.get_u32
 let get_lp = Frame.get_lp
-let send_frame = Frame.send_frame
-let recv_frame = Frame.recv_frame
 
 (* ------------------------------------------------------------------ *)
 (* Generate request / response payloads                                *)
@@ -113,35 +109,16 @@ type spec = {
   sp_model : string;  (* "banking" | "glass" | "file:<path>" *)
 }
 
-let spec_to_string sp =
-  String.concat "\n"
-    [
-      "sock=" ^ sp.sp_socket;
-      "id=" ^ string_of_int sp.sp_id;
-      "cache=" ^ string_of_int sp.sp_cache_capacity;
-      "result_cache=" ^ string_of_int sp.sp_result_cache_cap;
-      "model=" ^ sp.sp_model;
-    ]
-
 let spec_of_string s =
-  let kv =
-    String.split_on_char '\n' s
-    |> List.filter_map (fun line ->
-           match String.index_opt line '=' with
-           | None -> None
-           | Some i ->
-             Some
-               ( String.sub line 0 i,
-                 String.sub line (i + 1) (String.length line - i - 1) ))
-  in
-  let get k = try List.assoc k kv with Not_found -> failwith ("shard spec missing " ^ k) in
-  {
-    sp_socket = get "sock";
-    sp_id = int_of_string (get "id");
-    sp_cache_capacity = int_of_string (get "cache");
-    sp_result_cache_cap = int_of_string (get "result_cache");
-    sp_model = get "model";
-  }
+  Backend.Spec.(
+    decode s (fun f ->
+        {
+          sp_socket = str f "sock";
+          sp_id = int f "id";
+          sp_cache_capacity = int f "cache";
+          sp_result_cache_cap = int f "result_cache";
+          sp_model = str f "model";
+        }))
 
 let model_of_spec = function
   | "banking" -> Service.Model_value (Awb.Samples.banking_model ())
@@ -212,9 +189,7 @@ let backend_generate svc ~fallback_model payload pos =
              ~request_id:id))
 
 let backend_main sp =
-  if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let drain = Atomic.make false in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set drain true));
+  let drain = Backend.drain_on_sigterm () in
   let svc =
     Service.create
       ~config:
@@ -226,91 +201,21 @@ let backend_main sp =
       ()
   in
   let fallback_model = model_of_spec sp.sp_model in
-  (try Unix.unlink sp.sp_socket with Unix.Unix_error _ -> ());
-  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX sp.sp_socket);
-  Unix.listen listen_fd 64;
-  (try Unix.setsockopt_float listen_fd Unix.SO_RCVTIMEO 0.05 with Unix.Unix_error _ -> ());
-  (* Frames currently being served; drain exits only once this is 0. *)
-  let inflight = Atomic.make 0 in
-  let threads_mutex = Mutex.create () in
-  let threads = ref [] in
-  (* One thread per front connection. Connections are persistent and
-     few (the front pools them), so the thread count stays bounded by
-     the front's concurrency; intra-shard parallelism is not the goal —
-     the shards themselves are the parallel axis. *)
-  let handle_conn fd =
-    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.05 with Unix.Unix_error _ -> ());
-    let closing = ref false in
-    (try
-       while not !closing do
-         (* Between frames, EAGAIN is the drain poll; an idle draining
-            connection closes here. *)
-         match recv_frame ~retry_again:(fun () -> not (Atomic.get drain)) fd with
-         | exception (End_of_file | Unix.Unix_error _ | Protocol_error _) ->
-           closing := true
-         | exception Frame.Crc_mismatch ->
-           (* The frame arrived damaged but the length header framed the
-              read: the stream is still aligned. Answer a structured
-              nack so the front maps this to failover, instead of
-              closing and making corruption indistinguishable from a
-              crash. *)
-           (try send_frame fd (Frame.nack "bad frame crc")
-            with Protocol_error _ | Unix.Unix_error _ -> closing := true)
-         | payload ->
-           Atomic.incr inflight;
-           let reply =
-             Fun.protect
-               ~finally:(fun () -> Atomic.decr inflight)
-               (fun () ->
-                 let pos = ref 0 in
-                 match Char.chr (get_u8 payload pos) with
-                 | 'P' -> "P"
-                 | 'M' ->
-                   "M"
-                   ^ Service.counters_to_prometheus
-                       ~labels:[ ("shard", string_of_int sp.sp_id) ]
-                       (Service.counters svc)
-                 | 'D' ->
-                   Atomic.set drain true;
-                   closing := true;
-                   "D"
-                 | 'G' -> backend_generate svc ~fallback_model payload pos
-                 | c -> perr "unknown op %c" c)
-           in
-           (try send_frame fd reply with Protocol_error _ | Unix.Unix_error _ -> closing := true)
-       done
-     with _ -> ());
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  in
-  while not (Atomic.get drain) do
-    match Unix.accept ~cloexec:true listen_fd with
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT | Unix.EINTR), _, _)
-      ->
-      ()
-    | exception Unix.Unix_error _ -> if not (Atomic.get drain) then Thread.delay 0.01
-    | fd, _ ->
-      let th = Thread.create handle_conn fd in
-      Mutex.lock threads_mutex;
-      threads := th :: !threads;
-      Mutex.unlock threads_mutex
-  done;
-  (* Draining: no new connections; every conn thread exits at its next
-     between-frames poll, after finishing the frame it holds. *)
-  List.iter Thread.join !threads;
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  (try Unix.unlink sp.sp_socket with Unix.Unix_error _ -> ());
+  Backend.serve ~drain ~path:sp.sp_socket (fun payload ->
+      let pos = ref 0 in
+      match Char.chr (get_u8 payload pos) with
+      | 'P' -> "P"
+      | 'M' ->
+        "M"
+        ^ Service.counters_to_prometheus
+            ~labels:[ ("shard", string_of_int sp.sp_id) ]
+            (Service.counters svc)
+      | 'G' -> backend_generate svc ~fallback_model payload pos
+      | c -> perr "unknown op %c" c);
   exit 0
 
 let maybe_run_backend () =
-  if Array.exists (fun a -> a = backend_flag) Sys.argv then begin
-    match Sys.getenv_opt spec_env with
-    | None ->
-      prerr_endline "shard backend: missing spec environment";
-      exit 2
-    | Some s -> backend_main (spec_of_string s)
-  end
+  Backend.maybe_run ~flag:backend_flag ~env_var:spec_env spec_of_string backend_main
 
 (* ------------------------------------------------------------------ *)
 (* The front-process cluster                                           *)
@@ -350,16 +255,10 @@ let default_cluster_config =
   }
 
 type shard = {
-  sid : int;
-  spath : string;
-  mutable spid : int;
-  shealthy : bool Atomic.t;
+  b : Backend.t;  (* [b.healthy]: passes ping and work probes *)
   sdraining : bool Atomic.t;
   sinflight : int Atomic.t;
   sbreaker : Breaker.t;
-  schaos_seq : int Atomic.t;  (* data-plane frame counter for the chaos schedule *)
-  smutex : Mutex.t;
-  mutable sidle : Unix.file_descr list;  (* pooled connections *)
 }
 
 type t = {
@@ -378,192 +277,21 @@ type t = {
   mutable probe_thread : Thread.t option;
 }
 
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let with_pool_lock s f =
-  Mutex.lock s.smutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.smutex) f
-
-let pool_take s =
-  with_pool_lock s (fun () ->
-      match s.sidle with
-      | [] -> None
-      | fd :: rest ->
-        s.sidle <- rest;
-        Some fd)
-
-let pool_put s fd =
-  if Atomic.get s.shealthy then
-    with_pool_lock s (fun () -> s.sidle <- fd :: s.sidle)
-  else close_quiet fd
-
-let pool_clear s =
-  let fds = with_pool_lock s (fun () -> let l = s.sidle in s.sidle <- []; l) in
-  List.iter close_quiet fds
-
-let connect s ~timeout_s =
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.
-   with Unix.Unix_error _ -> ());
-  match Unix.connect fd (Unix.ADDR_UNIX s.spath) with
-  | () -> fd
-  | exception e ->
-    close_quiet fd;
-    raise e
-
-(* Send one data-plane frame under the chaos verdict for its sequence
-   number, and read the reply. Each fault is enacted on the real
-   socket: a dropped frame never leaves and the caller waits out its
-   receive timeout exactly as it would for a lost datagram; a truncated
-   frame leaves the backend holding a half-read (our close turns that
-   into EOF); a corrupted frame keeps its now-stale CRC trailer so the
-   backend's integrity check — not luck — catches it. *)
-let chaos_send_recv c s fd payload =
-  let seq = Atomic.fetch_and_add s.schaos_seq 1 in
-  match Chaos.decide c ~shard:s.sid ~seq with
-  | Chaos.Pass ->
-    send_frame fd payload;
-    recv_frame fd
-  | Chaos.Delay d ->
-    Thread.delay d;
-    send_frame fd payload;
-    recv_frame fd
-  | Chaos.Stall st ->
-    (* The frame hangs in flight: the backend sees it late, and a
-       hedge (or the caller's timeout) covers the gap meanwhile. *)
-    Thread.delay st;
-    send_frame fd payload;
-    recv_frame fd
-  | Chaos.Drop ->
-    (* Nothing is sent; the reply never comes. recv burns the socket
-       receive timeout and surfaces EAGAIN, like any silent loss. *)
-    recv_frame fd
-  | Chaos.Truncate ->
-    let wire = Frame.encode payload in
-    Frame.send_all fd (String.sub wire 0 (String.length wire / 2));
-    (* The rest never arrives. Raising here makes the caller close the
-       socket, so the backend's half-read ends in EOF, not a hang. *)
-    perr "chaos: frame truncated in flight"
-  | Chaos.Corrupt ->
-    let wire = Bytes.of_string (Frame.encode payload) in
-    let off =
-      Frame.payload_offset
-      + Chaos.corrupt_offset c ~shard:s.sid ~seq ~len:(String.length payload)
-    in
-    Bytes.set wire off (Char.chr (Char.code (Bytes.get wire off) lxor 0xff));
-    Frame.send_all fd (Bytes.unsafe_to_string wire);
-    recv_frame fd
-  | Chaos.Duplicate ->
-    (* At-least-once delivery: the backend serves the frame twice (its
-       replies queue in order on the connection); the duplicate's reply
-       is drained so the stream stays aligned and the caller still sees
-       exactly one response. *)
-    send_frame fd payload;
-    send_frame fd payload;
-    let reply = recv_frame fd in
-    (try ignore (recv_frame fd) with _ -> ());
-    reply
-
-(* One request/response exchange. A pooled connection may be stale
-   (backend restarted since it was pooled): on failure over a pooled
-   conn, retry once over a fresh one before declaring the shard down.
-   [chaos] opts the exchange into the fault plane — only data-plane
-   generates do; pings, metrics, drains, and health probes are exempt
-   so the supervisor's view stays truthful. A nack reply (the backend
-   detected a damaged frame) raises {!Frame.Nacked}: the exchange
-   protocol-succeeded but the payload was lost in flight, and the
-   connection is retired rather than recycled. *)
-let call ?(chaos = false) t s payload ~timeout_s =
-  let exchange fd =
-    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s with Unix.Unix_error _ -> ());
-    let reply =
-      match t.cfg.chaos with
-      | Some c when chaos && Chaos.enabled c -> chaos_send_recv c s fd payload
-      | _ ->
-        send_frame fd payload;
-        recv_frame fd
-    in
-    match Frame.nack_reason reply with
-    | Some reason -> raise (Frame.Nacked reason)
-    | None -> reply
-  in
-  (* Only connection-staleness symptoms earn the in-call retry: a
-     pooled socket whose backend has since restarted fails with EOF or
-     a reset on first use, and a fresh connect genuinely fixes that.
-     Everything else — a nack, a damaged reply, a receive timeout —
-     happened on a live connection and must surface to the failover and
-     breaker layers, not be silently absorbed here (retrying a timeout
-     would also double the caller's wait). *)
-  let stale_conn = function
-    | End_of_file -> true
-    | Unix.Unix_error
-        ((Unix.EPIPE | Unix.ECONNRESET | Unix.ECONNREFUSED | Unix.ENOTCONN | Unix.EBADF), _, _)
-      ->
-      true
-    | _ -> false
-  in
-  match pool_take s with
-  | Some fd -> (
-    match exchange fd with
-    | reply ->
-      pool_put s fd;
-      reply
-    | exception e when stale_conn e ->
-      close_quiet fd;
-      let fd = connect s ~timeout_s:(Float.min timeout_s t.cfg.call_timeout_s) in
-      (match exchange fd with
-      | reply ->
-        pool_put s fd;
-        reply
-      | exception e ->
-        close_quiet fd;
-        raise e)
-    | exception e ->
-      close_quiet fd;
-      raise e)
-  | None -> (
-    let fd = connect s ~timeout_s in
-    match exchange fd with
-    | reply ->
-      pool_put s fd;
-      reply
-    | exception e ->
-      close_quiet fd;
-      raise e)
-
-let ping t s ~timeout_s =
-  match call t s "P" ~timeout_s with "P" -> true | _ -> false | exception _ -> false
+(* Pings, metrics, drains, and health probes are exempt from the chaos
+   plane so the supervisor's view stays truthful; only data-plane
+   generates ride through it. *)
+let ping s ~timeout_s =
+  match Backend.call s.b "P" ~timeout_s with "P" -> true | _ -> false | exception _ -> false
 
 let spawn_backend t s =
-  let sp =
-    {
-      sp_socket = s.spath;
-      sp_id = s.sid;
-      sp_cache_capacity = t.cfg.cache_capacity;
-      sp_result_cache_cap = t.cfg.result_cache_cap;
-      sp_model = t.cfg.model_spec;
-    }
-  in
-  let exe = Sys.executable_name in
-  let env =
-    (* Strip any inherited spec binding: duplicate entries would leave
-       getenv in the child answering with the stale (first) one. *)
-    let prefix = spec_env ^ "=" in
-    let plen = String.length prefix in
-    Array.append
-      (Array.of_list
-         (List.filter
-            (fun kv -> not (String.length kv >= plen && String.sub kv 0 plen = prefix))
-            (Array.to_list (Unix.environment ()))))
-      [| prefix ^ spec_to_string sp |]
-  in
-  let pid =
-    Unix.create_process_env exe [| exe; backend_flag |] env Unix.stdin Unix.stdout
-      Unix.stderr
-  in
-  s.spid <- pid
+  Backend.spawn s.b ~flag:backend_flag ~env_var:spec_env
+    [
+      ("sock", s.b.path);
+      ("id", string_of_int s.b.id);
+      ("cache", string_of_int t.cfg.cache_capacity);
+      ("result_cache", string_of_int t.cfg.result_cache_cap);
+      ("model", t.cfg.model_spec);
+    ]
 
 (* The half-open work probe. Ping proves the backend's event loop is
    alive; only a real (tiny) generate against its fallback model proves
@@ -573,18 +301,18 @@ let spawn_backend t s =
    and go unhealthy again, over and over. *)
 let probe_template = "<document><p>shard probe</p></document>"
 
-let probe_generate t s =
+let probe_generate s =
   let payload =
     encode_generate ~id:"__probe__" ~engine:"host" ~level:Docgen.Spec.Full
       ~deadline_ms:2000 ~body:probe_template
   in
-  match decode_reply (call t s payload ~timeout_s:3.) with
+  match decode_reply (Backend.call s.b payload ~timeout_s:3.) with
   | status, _, _ -> status < 500
   | exception _ -> false
 
-let restore_health t s =
-  if ping t s ~timeout_s:1. && probe_generate t s then begin
-    Atomic.set s.shealthy true;
+let restore_health s =
+  if ping s ~timeout_s:1. && probe_generate s then begin
+    Atomic.set s.b.healthy true;
     (* The successful work probe is exactly the breaker's half-open
        admission test: close the circuit with it. *)
     Breaker.record_success s.sbreaker;
@@ -592,10 +320,10 @@ let restore_health t s =
   end
   else false
 
-let wait_healthy t s ~timeout_s =
+let wait_healthy s ~timeout_s =
   let deadline = Clock.now () +. timeout_s in
   let rec go () =
-    if restore_health t s then true
+    if restore_health s then true
     else if Clock.now () > deadline then false
     else begin
       Thread.delay 0.02;
@@ -614,23 +342,21 @@ let probe_loop t =
       Array.iter
         (fun s ->
           if not (Atomic.get s.sdraining) then begin
-            (match Unix.waitpid [ Unix.WNOHANG ] s.spid with
-            | 0, _ -> ()
-            | _ ->
+            if Backend.exited s.b then begin
               (* The backend died (crash, OOM, kill -9). Everything it
                  held is gone; open the breaker outright (no need to
                  count failures against a corpse), respawn, and let the
                  ring's failover cover its keys until the work probe
                  passes again. *)
-              Atomic.set s.shealthy false;
+              Atomic.set s.b.healthy false;
               Breaker.force_open s.sbreaker ~now:(Clock.now ());
-              pool_clear s;
+              Backend.pool_clear s.b;
               if not (Atomic.get t.stop) then begin
                 Atomic.incr t.restarts;
                 spawn_backend t s
               end
-            | exception Unix.Unix_error _ -> ());
-            if not (Atomic.get s.shealthy) then ignore (restore_health t s)
+            end;
+            if not (Atomic.get s.b.healthy) then ignore (restore_health s)
           end)
         t.members
   done
@@ -641,34 +367,18 @@ let start ?(config = default_cluster_config) () =
      surface as EPIPE, not terminate the process. Server.start also sets
      this, but Shard.start must be safe standalone (tests, embedding). *)
   if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let dir =
-    match config.socket_dir with
-    | Some d ->
-      if not (Sys.file_exists d) then Unix.mkdir d 0o700;
-      d
-    | None ->
-      let d =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "awb-shards-%d" (Unix.getpid ()))
-      in
-      if not (Sys.file_exists d) then Unix.mkdir d 0o700;
-      d
-  in
+  let dir = Backend.socket_dir ~prefix:"awb-shards" config.socket_dir in
   let n = max 1 config.shards in
   let members =
     Array.init n (fun i ->
         {
-          sid = i;
-          spath = Filename.concat dir (Printf.sprintf "shard-%d.sock" i);
-          spid = -1;
-          shealthy = Atomic.make false;
+          b =
+            Backend.create ~id:i
+              ~path:(Filename.concat dir (Printf.sprintf "shard-%d.sock" i))
+              ~healthy:false;
           sdraining = Atomic.make false;
           sinflight = Atomic.make 0;
           sbreaker = Breaker.create ~config:config.breaker ();
-          schaos_seq = Atomic.make 0;
-          smutex = Mutex.create ();
-          sidle = [];
         })
   in
   let t =
@@ -691,8 +401,8 @@ let start ?(config = default_cluster_config) () =
   Array.iter (fun s -> spawn_backend t s) members;
   Array.iter
     (fun s ->
-      if not (wait_healthy t s ~timeout_s:15.) then
-        failwith (Printf.sprintf "shard %d did not come up" s.sid))
+      if not (wait_healthy s ~timeout_s:15.) then
+        failwith (Printf.sprintf "shard %d did not come up" s.b.id))
     members;
   t.probe_thread <- Some (Thread.create (fun () -> probe_loop t) ());
   t
@@ -705,13 +415,9 @@ let hedges t = Atomic.get t.hedges
 let hedge_wins t = Atomic.get t.hedge_wins
 let unavailable t = Atomic.get t.unavailable
 let breaker_states t = Array.map (fun s -> Breaker.state_code s.sbreaker) t.members
-let pids t = Array.map (fun s -> s.spid) t.members
+let pids t = Array.map (fun s -> s.b.pid) t.members
 let healthy_count t =
-  Array.fold_left (fun acc s -> if Atomic.get s.shealthy then acc + 1 else acc) 0 t.members
-
-let is_timeout_exn = function
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _) -> true
-  | _ -> false
+  Array.fold_left (fun acc s -> if Atomic.get s.b.healthy then acc + 1 else acc) 0 t.members
 
 (* Frugal streaming p95: on each successful-call latency, step the
    estimate up hard when the sample exceeds it and down softly when it
@@ -739,14 +445,14 @@ let attempt_call t sid payload ~timeout_s =
   let result =
     Fun.protect
       ~finally:(fun () -> Atomic.decr s.sinflight)
-      (fun () -> try Ok (call ~chaos:true t s payload ~timeout_s) with e -> Error e)
+      (fun () -> try Ok (Backend.call ?chaos:t.cfg.chaos s.b payload ~timeout_s) with e -> Error e)
   in
   (match result with
   | Ok _ ->
     Breaker.record_success s.sbreaker;
     observe_latency t (Clock.now () -. t0)
   | Error e ->
-    Breaker.record_failure s.sbreaker ~timeout:(is_timeout_exn e) ~now:(Clock.now ()) ());
+    Breaker.record_failure s.sbreaker ~timeout:(Backend.is_timeout_exn e) ~now:(Clock.now ()) ());
   result
 
 (* Hedged attempt: first response wins. The primary gets the hedge
@@ -841,7 +547,7 @@ let generate t ~id ~engine ~level ~deadline_ms ~body =
   let failed = Array.make (Array.length t.members) false in
   let excluded sid =
     failed.(sid)
-    || (not (Atomic.get t.members.(sid).shealthy))
+    || (not (Atomic.get t.members.(sid).b.healthy))
     || Atomic.get t.members.(sid).sdraining
     || Breaker.blocked t.members.(sid).sbreaker ~now:(Clock.now ())
   in
@@ -873,8 +579,8 @@ let generate t ~id ~engine ~level ~deadline_ms ~body =
           match result with
           | Ok reply -> decode_reply reply
           | Error _ ->
-            Atomic.set s.shealthy false;
-            pool_clear s;
+            Atomic.set s.b.healthy false;
+            Backend.pool_clear s.b;
             failed.(sid) <- true;
             Atomic.incr t.failovers;
             attempt (tries + 1))
@@ -883,42 +589,29 @@ let generate t ~id ~engine ~level ~deadline_ms ~body =
 
 (* Aggregated /metrics: each shard's exposition arrives already
    shard-labeled on its sample lines; concatenating them repeats the
-   HELP/TYPE metadata, which is deduplicated here (first one wins). *)
-let dedup_metadata text =
-  let seen = Hashtbl.create 64 in
-  String.split_on_char '\n' text
-  |> List.filter (fun line ->
-         if String.length line > 0 && line.[0] = '#' then
-           if Hashtbl.mem seen line then false
-           else begin
-             Hashtbl.add seen line ();
-             true
-           end
-         else true)
-  |> String.concat "\n"
-
+   HELP/TYPE metadata, which is deduplicated. *)
 let metrics t =
   let parts =
     Array.to_list t.members
     |> List.filter_map (fun s ->
-           if not (Atomic.get s.shealthy) then None
+           if not (Atomic.get s.b.healthy) then None
            else
-             match call t s "M" ~timeout_s:2. with
+             match Backend.call s.b "M" ~timeout_s:2. with
              | reply when String.length reply > 0 && reply.[0] = 'M' ->
                Some (String.sub reply 1 (String.length reply - 1))
              | _ -> None
              | exception _ -> None)
   in
   let b = Buffer.create 4096 in
-  Buffer.add_string b (dedup_metadata (String.concat "" parts));
+  Buffer.add_string b (Backend.dedup_metadata (String.concat "" parts));
   Buffer.add_string b
     "# HELP lopsided_shard_healthy 1 when the shard passes ping and work probes.\n";
   Buffer.add_string b "# TYPE lopsided_shard_healthy gauge\n";
   Array.iter
     (fun s ->
       Buffer.add_string b
-        (Printf.sprintf "lopsided_shard_healthy{shard=\"%d\"} %d\n" s.sid
-           (if Atomic.get s.shealthy then 1 else 0)))
+        (Printf.sprintf "lopsided_shard_healthy{shard=\"%d\"} %d\n" s.b.id
+           (if Atomic.get s.b.healthy then 1 else 0)))
     t.members;
   Buffer.add_string b
     "# HELP lopsided_shard_breaker_state Circuit breaker: 0 closed, 1 open, 2 half-open.\n";
@@ -926,7 +619,7 @@ let metrics t =
   Array.iter
     (fun s ->
       Buffer.add_string b
-        (Printf.sprintf "lopsided_shard_breaker_state{shard=\"%d\"} %d\n" s.sid
+        (Printf.sprintf "lopsided_shard_breaker_state{shard=\"%d\"} %d\n" s.b.id
            (Breaker.state_code s.sbreaker)))
     t.members;
   let counter name help v =
@@ -946,46 +639,6 @@ let metrics t =
     "Generates answered 503 because no shard could take the request." (unavailable t);
   Buffer.contents b
 
-let wait_exit ?(timeout_s = 10.) pid =
-  let deadline = Clock.now () +. timeout_s in
-  let rec go () =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ ->
-      if Clock.now () > deadline then false
-      else begin
-        Thread.delay 0.01;
-        go ()
-      end
-    | _ -> true
-    | exception Unix.Unix_error _ -> true
-  in
-  go ()
-
-let send_drain s =
-  (* Best effort over a fresh connection: pooled conns may be held by
-     in-flight exchanges on other threads. *)
-  match connect s ~timeout_s:2. with
-  | fd ->
-    (try
-       send_frame fd "D";
-       ignore (recv_frame fd)
-     with _ -> ());
-    close_quiet fd
-  | exception _ -> ()
-
-let kill_quiet pid signal = try Unix.kill pid signal with Unix.Unix_error _ -> ()
-
-let stop_backend t s =
-  send_drain s;
-  pool_clear s;
-  if not (wait_exit ~timeout_s:t.cfg.drain_timeout_s s.spid) then begin
-    kill_quiet s.spid Sys.sigterm;
-    if not (wait_exit ~timeout_s:2. s.spid) then begin
-      kill_quiet s.spid Sys.sigkill;
-      ignore (wait_exit ~timeout_s:2. s.spid)
-    end
-  end
-
 (* Zero-downtime reload: cycle one shard at a time. While a shard is
    down its keys fail over to ring successors (~1/N of traffic sees a
    cold cache, briefly); the rest of the fleet keeps its warm caches.
@@ -1003,11 +656,11 @@ let rolling_restart t =
       while Atomic.get s.sinflight > 0 && Clock.now () < deadline do
         Thread.delay 0.01
       done;
-      Atomic.set s.shealthy false;
-      stop_backend t s;
+      Atomic.set s.b.healthy false;
+      Backend.stop s.b ~drain_timeout_s:t.cfg.drain_timeout_s;
       spawn_backend t s;
       Atomic.incr t.reloads;
-      ignore (wait_healthy t s ~timeout_s:15.);
+      ignore (wait_healthy s ~timeout_s:15.);
       Atomic.set s.sdraining false)
     t.members
 
@@ -1018,9 +671,8 @@ let shutdown t =
     Array.iter
       (fun s ->
         Atomic.set s.sdraining true;
-        Atomic.set s.shealthy false;
-        stop_backend t s;
-        try Unix.unlink s.spath with Unix.Unix_error _ | Sys_error _ -> ())
+        Atomic.set s.b.healthy false;
+        Backend.stop s.b ~drain_timeout_s:t.cfg.drain_timeout_s)
       t.members;
     try Unix.rmdir t.dir with Unix.Unix_error _ | Sys_error _ -> ()
   end

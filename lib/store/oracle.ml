@@ -35,28 +35,32 @@ type rates = {
 let no_rates = { r_crash = 0.; r_short = 0.; r_ffail = 0.; r_fignore = 0. }
 
 let spec_to_string ~dir ~seed ~n ~segbytes rates =
-  Printf.sprintf "dir=%s;seed=%d;n=%d;segbytes=%d;crash=%f;short=%f;ffail=%f;fignore=%f"
-    dir seed n segbytes rates.r_crash rates.r_short rates.r_ffail rates.r_fignore
+  Backend.Spec.(
+    encode
+      [
+        ("dir", dir);
+        ("seed", string_of_int seed);
+        ("n", string_of_int n);
+        ("segbytes", string_of_int segbytes);
+        ("crash", float rates.r_crash);
+        ("short", float rates.r_short);
+        ("ffail", float rates.r_ffail);
+        ("fignore", float rates.r_fignore);
+      ])
 
 let spec_of_string s =
-  let kv =
-    String.split_on_char ';' s
-    |> List.filter_map (fun part ->
-           match String.index_opt part '=' with
-           | None -> None
-           | Some i ->
-             Some
-               ( String.sub part 0 i,
-                 String.sub part (i + 1) (String.length part - i - 1) ))
-  in
-  let str k = try List.assoc k kv with Not_found -> failwith ("oracle spec missing " ^ k) in
-  let int k = int_of_string (str k) in
-  let flt k = float_of_string (str k) in
-  ( str "dir",
-    int "seed",
-    int "n",
-    int "segbytes",
-    { r_crash = flt "crash"; r_short = flt "short"; r_ffail = flt "ffail"; r_fignore = flt "fignore" } )
+  Backend.Spec.(
+    decode s (fun f ->
+        ( str f "dir",
+          int f "seed",
+          int f "n",
+          int f "segbytes",
+          {
+            r_crash = float_of f "crash";
+            r_short = float_of f "short";
+            r_ffail = float_of f "ffail";
+            r_fignore = float_of f "fignore";
+          } )))
 
 let collection = "oracle"
 let doc_name i = Printf.sprintf "d%d" i
@@ -71,8 +75,7 @@ let doc_body ~seed i =
 (* Child                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_child spec =
-  let dir, seed, n, segbytes, rates = spec_of_string spec in
+let run_child (dir, seed, n, segbytes, rates) =
   let plane =
     Io_fault.of_seed ~short_write_rate:rates.r_short ~fsync_fail_rate:rates.r_ffail
       ~fsync_ignore_rate:rates.r_fignore ~crash_rate:rates.r_crash seed
@@ -109,7 +112,12 @@ let run_child spec =
 let maybe_run_child () =
   match Sys.getenv_opt env_var with
   | None -> ()
-  | Some spec -> run_child spec
+  | Some s -> (
+    match spec_of_string s with
+    | Ok spec -> run_child spec
+    | Error e ->
+      prerr_endline ("oracle child: " ^ Backend.Spec.error_message e);
+      exit 2)
 
 (* ------------------------------------------------------------------ *)
 (* Parent                                                              *)
@@ -137,14 +145,6 @@ let rec rm_rf path =
     (try Unix.rmdir path with Unix.Unix_error _ -> ())
   | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
 
-let child_env spec =
-  let keep =
-    Unix.environment () |> Array.to_list
-    |> List.filter (fun kv -> not (String.length kv > String.length env_var
-                                   && String.sub kv 0 (String.length env_var + 1) = env_var ^ "="))
-  in
-  Array.of_list (keep @ [ env_var ^ "=" ^ spec ])
-
 let read_all fd =
   let b = Buffer.create 4096 in
   let chunk = Bytes.create 4096 in
@@ -170,7 +170,7 @@ let run_trial ~exe ~dir ~seed ~n ?(segbytes = 4096) rates =
   let dev_null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   let pr, pw = Unix.pipe ~cloexec:false () in
   let pid =
-    Unix.create_process_env exe [| exe |] (child_env spec) dev_null pw Unix.stderr
+    Unix.create_process_env exe [| exe |] (Backend.env_with env_var spec) dev_null pw Unix.stderr
   in
   Unix.close pw;
   Unix.close dev_null;

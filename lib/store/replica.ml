@@ -4,12 +4,12 @@
 
    One front coordinator, N replica backends. Each backend owns a full
    segmented store (log.ml) in its own directory and serves the
-   replication frame family (repl_log.ml) over a Unix-domain socket,
-   with the same accept/drain discipline as the generation shards.
-   Backends are spawned by fork+exec of the host binary itself —
-   [Sys.executable_name] with a [--replica-backend] argv marker and the
-   spec in an environment variable — so any binary that calls
-   {!maybe_run_backend} first thing in main can host one.
+   replication frame family (repl_log.ml) over a Unix-domain socket.
+   Spawn (a [--replica-backend] re-exec of the host binary), the
+   connection pool, the chaos-wrapped framed call, the serve loop, and
+   reap and drain are {!Backend}'s, shared with the generation shards;
+   any binary that calls {!maybe_run_backend} first thing in main can
+   host one.
 
    The write path: the coordinator appends on the primary first (the
    primary defines the log position), then fans the record out to every
@@ -45,9 +45,6 @@
 let spec_env = "AWBSTORE_REPLICA_SPEC"
 let backend_flag = "--replica-backend"
 
-let send_frame = Frame.send_frame
-let recv_frame = Frame.recv_frame
-
 (* ------------------------------------------------------------------ *)
 (* Backend spec (crosses the exec boundary via the environment)        *)
 (* ------------------------------------------------------------------ *)
@@ -65,45 +62,21 @@ type spec = {
   rp_crash : float;
 }
 
-let spec_to_string sp =
-  String.concat "\n"
-    [
-      "sock=" ^ sp.rp_socket;
-      "id=" ^ string_of_int sp.rp_id;
-      "dir=" ^ sp.rp_dir;
-      "segbytes=" ^ string_of_int sp.rp_segbytes;
-      "scrub=" ^ string_of_float sp.rp_scrub_s;
-      "seed=" ^ string_of_int sp.rp_seed;
-      "short=" ^ string_of_float sp.rp_short;
-      "ffail=" ^ string_of_float sp.rp_ffail;
-      "fignore=" ^ string_of_float sp.rp_fignore;
-      "crash=" ^ string_of_float sp.rp_crash;
-    ]
-
 let spec_of_string s =
-  let kv =
-    String.split_on_char '\n' s
-    |> List.filter_map (fun line ->
-           match String.index_opt line '=' with
-           | None -> None
-           | Some i ->
-             Some
-               ( String.sub line 0 i,
-                 String.sub line (i + 1) (String.length line - i - 1) ))
-  in
-  let get k = try List.assoc k kv with Not_found -> failwith ("replica spec missing " ^ k) in
-  {
-    rp_socket = get "sock";
-    rp_id = int_of_string (get "id");
-    rp_dir = get "dir";
-    rp_segbytes = int_of_string (get "segbytes");
-    rp_scrub_s = float_of_string (get "scrub");
-    rp_seed = int_of_string (get "seed");
-    rp_short = float_of_string (get "short");
-    rp_ffail = float_of_string (get "ffail");
-    rp_fignore = float_of_string (get "fignore");
-    rp_crash = float_of_string (get "crash");
-  }
+  Backend.Spec.(
+    decode s (fun f ->
+        {
+          rp_socket = str f "sock";
+          rp_id = int f "id";
+          rp_dir = str f "dir";
+          rp_segbytes = int f "segbytes";
+          rp_scrub_s = float_of f "scrub";
+          rp_seed = int f "seed";
+          rp_short = float_of f "short";
+          rp_ffail = float_of f "ffail";
+          rp_fignore = float_of f "fignore";
+          rp_crash = float_of f "crash";
+        }))
 
 (* ------------------------------------------------------------------ *)
 (* Backend process                                                     *)
@@ -342,9 +315,7 @@ let backend_handle sp plane store staged payload pos =
   | c -> Frame.perr "unknown replica op %c" c
 
 let backend_main sp =
-  if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let drain = Atomic.make false in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set drain true));
+  let drain = Backend.drain_on_sigterm () in
   let plane =
     if sp.rp_seed < 0 then None
     else
@@ -379,77 +350,19 @@ let backend_main sp =
              end
            done)
          ());
-  (try Unix.unlink sp.rp_socket with Unix.Unix_error _ -> ());
-  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX sp.rp_socket);
-  Unix.listen listen_fd 64;
-  (try Unix.setsockopt_float listen_fd Unix.SO_RCVTIMEO 0.05 with Unix.Unix_error _ -> ());
-  let threads_mutex = Mutex.create () in
-  let threads = ref [] in
-  let handle_conn fd =
-    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.05 with Unix.Unix_error _ -> ());
-    let closing = ref false in
-    (try
-       while not !closing do
-         match recv_frame ~retry_again:(fun () -> not (Atomic.get drain)) fd with
-         | exception (End_of_file | Unix.Unix_error _ | Frame.Protocol_error _) ->
-           closing := true
-         | exception Frame.Crc_mismatch ->
-           (* Damaged frame, aligned stream: answer a structured nack so
-              the coordinator counts a lost payload, not a dead node. *)
-           (try send_frame fd (Frame.nack "bad frame crc")
-            with Frame.Protocol_error _ | Unix.Unix_error _ -> closing := true)
-         | payload ->
-           let reply =
-             if payload = "D" then begin
-               Atomic.set drain true;
-               closing := true;
-               "D"
-             end
-             else begin
-               Mutex.lock op_mutex;
-               Fun.protect
-                 ~finally:(fun () -> Mutex.unlock op_mutex)
-                 (fun () ->
-                   try backend_handle sp plane store staged payload (ref 0)
-                   with
-                   | Frame.Protocol_error m -> Frame.nack ("protocol: " ^ m)
-                   | Segment.Corrupt m -> Frame.nack ("store:corrupt: " ^ m))
-             end
-           in
-           (try send_frame fd reply
-            with Frame.Protocol_error _ | Unix.Unix_error _ -> closing := true)
-       done
-     with _ -> ());
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  in
-  while not (Atomic.get drain) do
-    match Unix.accept ~cloexec:true listen_fd with
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT | Unix.EINTR), _, _)
-      ->
-      ()
-    | exception Unix.Unix_error _ -> if not (Atomic.get drain) then Thread.delay 0.01
-    | fd, _ ->
-      let th = Thread.create handle_conn fd in
-      Mutex.lock threads_mutex;
-      threads := th :: !threads;
-      Mutex.unlock threads_mutex
-  done;
-  List.iter Thread.join !threads;
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  (try Unix.unlink sp.rp_socket with Unix.Unix_error _ -> ());
+  Backend.serve ~drain ~path:sp.rp_socket (fun payload ->
+      Mutex.lock op_mutex;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock op_mutex)
+        (fun () ->
+          try backend_handle sp plane store staged payload (ref 0) with
+          | Frame.Protocol_error m -> Frame.nack ("protocol: " ^ m)
+          | Segment.Corrupt m -> Frame.nack ("store:corrupt: " ^ m)));
   Log.close !store;
   exit 0
 
 let maybe_run_backend () =
-  if Array.exists (fun a -> a = backend_flag) Sys.argv then begin
-    match Sys.getenv_opt spec_env with
-    | None ->
-      prerr_endline "replica backend: missing spec environment";
-      exit 2
-    | Some s -> backend_main (spec_of_string s)
-  end
+  Backend.maybe_run ~flag:backend_flag ~env_var:spec_env spec_of_string backend_main
 
 (* ------------------------------------------------------------------ *)
 (* The front coordinator                                               *)
@@ -487,11 +400,9 @@ let default_config =
 type node = {
   nid : int;
   ndir : string;
-  npath : string;  (* socket *)
-  mutable npid : int;
+  b : Backend.t;
   mutable nrespawns : int;
   nbreaker : Breaker.t;
-  nchaos_seq : int Atomic.t;
   npartitioned : bool Atomic.t;  (* the oracle's network partition flag *)
   mutable ntainted : bool;  (* unconfirmed undo: out of promotion until repaired *)
   mutable ntaint_floor : (int * int) option;
@@ -501,8 +412,6 @@ type node = {
          needing a live primary. [None] = the possibly-durable orphan's
          position is unknown (a primary that went silent mid-append) and
          only a full repair can prove the node clean. *)
-  nmutex : Mutex.t;
-  mutable nidle : Unix.file_descr list;  (* pooled connections *)
 }
 
 type t = {
@@ -528,88 +437,9 @@ let error_message = function
   | #Log.error as e -> Log.error_message e
   | `Unavailable m -> Printf.sprintf "store:unavailable: %s" m
 
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 let with_rlock t f =
   Mutex.lock t.rmutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.rmutex) f
-
-let pool_take n =
-  Mutex.lock n.nmutex;
-  let fd = match n.nidle with [] -> None | fd :: rest -> n.nidle <- rest; Some fd in
-  Mutex.unlock n.nmutex;
-  fd
-
-let pool_put n fd =
-  Mutex.lock n.nmutex;
-  n.nidle <- fd :: n.nidle;
-  Mutex.unlock n.nmutex
-
-let pool_clear n =
-  Mutex.lock n.nmutex;
-  let fds = n.nidle in
-  n.nidle <- [];
-  Mutex.unlock n.nmutex;
-  List.iter close_quiet fds
-
-let connect n ~timeout_s =
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.
-   with Unix.Unix_error _ -> ());
-  match Unix.connect fd (Unix.ADDR_UNIX n.npath) with
-  | () -> fd
-  | exception e ->
-    close_quiet fd;
-    raise e
-
-(* Identical fault enactment to the shard transport (see shard.ml):
-   verdicts are drawn per data-plane frame from the node's own sequence
-   counter, so one seed replays one schedule. *)
-let chaos_send_recv c n fd payload =
-  let seq = Atomic.fetch_and_add n.nchaos_seq 1 in
-  match Chaos.decide c ~shard:n.nid ~seq with
-  | Chaos.Pass ->
-    send_frame fd payload;
-    recv_frame fd
-  | Chaos.Delay d | Chaos.Stall d ->
-    Thread.delay d;
-    send_frame fd payload;
-    recv_frame fd
-  | Chaos.Drop -> recv_frame fd
-  | Chaos.Truncate ->
-    let wire = Frame.encode payload in
-    Frame.send_all fd (String.sub wire 0 (String.length wire / 2));
-    Frame.perr "chaos: frame truncated in flight"
-  | Chaos.Corrupt ->
-    let wire = Bytes.of_string (Frame.encode payload) in
-    let off =
-      Frame.payload_offset
-      + Chaos.corrupt_offset c ~shard:n.nid ~seq ~len:(String.length payload)
-    in
-    Bytes.set wire off (Char.chr (Char.code (Bytes.get wire off) lxor 0xff));
-    Frame.send_all fd (Bytes.unsafe_to_string wire);
-    recv_frame fd
-  | Chaos.Duplicate ->
-    send_frame fd payload;
-    send_frame fd payload;
-    let reply1 = recv_frame fd in
-    (* The second copy's fate decides whether a refusal can be
-       trusted: a duplicated write that nacked once and applied once
-       IS durable, so a nack may only be surfaced when BOTH copies
-       nacked — otherwise the coordinator would book a clean refusal
-       for an append that survives on disk (and can later be
-       canonized by an election its extra bytes helped win). An
-       unreadable second reply leaves the outcome unknowable:
-       escalate to the transport error so the caller treats the
-       write as possibly-durable, never as cleanly refused. *)
-    let reply2 = recv_frame fd in
-    if Frame.nack_reason reply1 = None then reply1 else reply2
-
-let is_timeout_exn = function
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _) -> true
-  | _ -> false
 
 (* One exchange with a node. [data] opts the frame into the chaos
    plane and the partition flag — write, undo and get; status,
@@ -618,66 +448,18 @@ let is_timeout_exn = function
    heals. *)
 type rsp = Reply of string | Nack of string | Down of exn
 
-let raw_call t n payload ~data ~timeout_s =
-  (* A partitioned node is unreachable for every frame — data, control
-     and repair alike; unlike the chaos plane, a partition models the
-     network itself being gone, not a lossy link. *)
-  if Atomic.get n.npartitioned then begin
-    Thread.delay 0.001;
-    raise (Unix.Unix_error (Unix.ETIMEDOUT, "replica partitioned", ""))
-  end;
-  let exchange fd =
-    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s with Unix.Unix_error _ -> ());
-    let reply =
-      match t.cfg.chaos with
-      | Some c when data && Chaos.enabled c -> chaos_send_recv c n fd payload
-      | _ ->
-        send_frame fd payload;
-        recv_frame fd
-    in
-    match Frame.nack_reason reply with
-    | Some reason -> raise (Frame.Nacked reason)
-    | None -> reply
-  in
-  let stale_conn = function
-    | End_of_file -> true
-    | Unix.Unix_error
-        ((Unix.EPIPE | Unix.ECONNRESET | Unix.ECONNREFUSED | Unix.ENOTCONN | Unix.EBADF), _, _)
-      ->
-      true
-    | _ -> false
-  in
-  match pool_take n with
-  | Some fd -> (
-    match exchange fd with
-    | reply ->
-      pool_put n fd;
-      reply
-    | exception e when stale_conn e ->
-      close_quiet fd;
-      let fd = connect n ~timeout_s in
-      (match exchange fd with
-      | reply ->
-        pool_put n fd;
-        reply
-      | exception e ->
-        close_quiet fd;
-        raise e)
-    | exception e ->
-      close_quiet fd;
-      raise e)
-  | None -> (
-    let fd = connect n ~timeout_s in
-    match exchange fd with
-    | reply ->
-      pool_put n fd;
-      reply
-    | exception e ->
-      close_quiet fd;
-      raise e)
-
 let node_call ?(data = false) t n payload =
-  match raw_call t n payload ~data ~timeout_s:t.cfg.call_timeout_s with
+  match
+    (* A partitioned node is unreachable for every frame — data,
+       control and repair alike; unlike the chaos plane, a partition
+       models the network itself being gone, not a lossy link. *)
+    if Atomic.get n.npartitioned then begin
+      Thread.delay 0.001;
+      raise (Unix.Unix_error (Unix.ETIMEDOUT, "replica partitioned", ""))
+    end;
+    Backend.call ?chaos:(if data then t.cfg.chaos else None) n.b payload
+      ~timeout_s:t.cfg.call_timeout_s
+  with
   | reply ->
     Breaker.record_success n.nbreaker;
     Reply reply
@@ -686,7 +468,7 @@ let node_call ?(data = false) t n payload =
     Breaker.record_success n.nbreaker;
     Nack reason
   | exception e ->
-    Breaker.record_failure n.nbreaker ~timeout:(is_timeout_exn e) ~now:(Clock.now ()) ();
+    Breaker.record_failure n.nbreaker ~timeout:(Backend.is_timeout_exn e) ~now:(Clock.now ()) ();
     Down e
 
 let node_status ?(digests = false) t n =
@@ -1180,36 +962,19 @@ let spawn_node t n =
          identical byte on respawn, forever. *)
       ((base * 1231) + (n.nid * 101) + (n.nrespawns * 7919), s, f, g, c)
   in
-  let sp =
-    {
-      rp_socket = n.npath;
-      rp_id = n.nid;
-      rp_dir = n.ndir;
-      rp_segbytes = t.cfg.max_segment_bytes;
-      rp_scrub_s = t.cfg.scrub_interval_s;
-      rp_seed = seed;
-      rp_short = short;
-      rp_ffail = ffail;
-      rp_fignore = fignore;
-      rp_crash = crash;
-    }
-  in
-  let exe = Sys.executable_name in
-  let env =
-    let prefix = spec_env ^ "=" in
-    let plen = String.length prefix in
-    Array.append
-      (Array.of_list
-         (List.filter
-            (fun kv -> not (String.length kv >= plen && String.sub kv 0 plen = prefix))
-            (Array.to_list (Unix.environment ()))))
-      [| prefix ^ spec_to_string sp |]
-  in
-  let pid =
-    Unix.create_process_env exe [| exe; backend_flag |] env Unix.stdin Unix.stdout
-      Unix.stderr
-  in
-  n.npid <- pid;
+  Backend.spawn n.b ~flag:backend_flag ~env_var:spec_env
+    [
+      ("sock", n.b.path);
+      ("id", string_of_int n.nid);
+      ("dir", n.ndir);
+      ("segbytes", string_of_int t.cfg.max_segment_bytes);
+      ("scrub", Backend.Spec.float t.cfg.scrub_interval_s);
+      ("seed", string_of_int seed);
+      ("short", Backend.Spec.float short);
+      ("ffail", Backend.Spec.float ffail);
+      ("fignore", Backend.Spec.float fignore);
+      ("crash", Backend.Spec.float crash);
+    ];
   n.nrespawns <- n.nrespawns + 1
 
 let ping t n =
@@ -1225,12 +990,10 @@ let wait_ready t n ~timeout_s =
          schedule like any other op). Reap the corpse and respawn —
          each incarnation derives a fresh fault schedule, so this
          terminates — rather than pinging a ghost until the deadline. *)
-      (match Unix.waitpid [ Unix.WNOHANG ] n.npid with
-      | 0, _ -> ()
-      | _ ->
-        pool_clear n;
+      if Backend.exited n.b then begin
+        Backend.pool_clear n.b;
         if not (Atomic.get t.stop) then spawn_node t n
-      | exception Unix.Unix_error _ -> ());
+      end;
       if Clock.now () > deadline then false
       else begin
         Thread.delay 0.02;
@@ -1246,17 +1009,15 @@ let rec probe_loop t =
     if not (Atomic.get t.stop) then begin
       Array.iter
         (fun n ->
-          match Unix.waitpid [ Unix.WNOHANG ] n.npid with
-          | 0, _ -> ()
-          | _ ->
+          if Backend.exited n.b then begin
             (* The backend died under us (crash, OOM, kill -9): open
                the breaker outright, drop its pooled conns, respawn.
                If it was the primary, the next write (or the repair
                below) elects a successor. *)
             Breaker.force_open n.nbreaker ~now:(Clock.now ());
-            pool_clear n;
+            Backend.pool_clear n.b;
             if not (Atomic.get t.stop) then spawn_node t n
-          | exception Unix.Unix_error _ -> ())
+          end)
         t.nodes;
       with_rlock t (fun () ->
           ignore (ensure_primary t);
@@ -1278,35 +1039,21 @@ let create ?(config = default_config) ~dir () =
       write_quorum = max 1 (min config.write_quorum (max 1 config.replicas));
     }
   in
-  let sock_dir =
-    match cfg.socket_dir with
-    | Some d ->
-      if not (Sys.file_exists d) then Unix.mkdir d 0o700;
-      d
-    | None ->
-      let d =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "awb-repl-%d" (Unix.getpid ()))
-      in
-      if not (Sys.file_exists d) then Unix.mkdir d 0o700;
-      d
-  in
+  let sock_dir = Backend.socket_dir ~prefix:"awb-repl" cfg.socket_dir in
   let nodes =
     Array.init cfg.replicas (fun i ->
         {
           nid = i;
           ndir = Filename.concat dir (Printf.sprintf "replica-%d" i);
-          npath = Filename.concat sock_dir (Printf.sprintf "replica-%d.sock" i);
-          npid = -1;
+          b =
+            Backend.create ~id:i
+              ~path:(Filename.concat sock_dir (Printf.sprintf "replica-%d.sock" i))
+              ~healthy:true;
           nrespawns = 0;
           nbreaker = Breaker.create ~config:cfg.breaker ();
-          nchaos_seq = Atomic.make 0;
           npartitioned = Atomic.make false;
           ntainted = false;
           ntaint_floor = None;
-          nmutex = Mutex.create ();
-          nidle = [];
         })
   in
   let t =
@@ -1334,10 +1081,8 @@ let create ?(config = default_config) ~dir () =
         (* Don't leak the siblings that did come up. *)
         Array.iter
           (fun m ->
-            if m.npid > 0 then begin
-              (try Unix.kill m.npid Sys.sigkill with Unix.Unix_error _ -> ());
-              (try ignore (Unix.waitpid [] m.npid) with Unix.Unix_error _ -> ())
-            end)
+            Backend.kill_quiet m.b Sys.sigkill;
+            ignore (Backend.wait_exit m.b))
           nodes;
         failwith (Printf.sprintf "replica %d did not come up" n.nid)
       end)
@@ -1353,14 +1098,8 @@ let create ?(config = default_config) ~dir () =
       let reap_and_respawn () =
         Array.iter
           (fun n ->
-            let dead =
-              match Unix.waitpid [ Unix.WNOHANG ] n.npid with
-              | 0, _ -> false
-              | _ -> true
-              | exception Unix.Unix_error _ -> false
-            in
-            if dead then begin
-              pool_clear n;
+            if Backend.exited n.b then begin
+              Backend.pool_clear n.b;
               n.ntainted <- false;
               n.ntaint_floor <- None;
               spawn_node t n;
@@ -1384,49 +1123,12 @@ let create ?(config = default_config) ~dir () =
     t.probe_thread <- Some (Thread.create (fun () -> probe_loop t) ());
   t
 
-let wait_exit ?(timeout_s = 10.) pid =
-  let deadline = Clock.now () +. timeout_s in
-  let rec go () =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ ->
-      if Clock.now () > deadline then false
-      else begin
-        Thread.delay 0.01;
-        go ()
-      end
-    | _ -> true
-    | exception Unix.Unix_error _ -> true
-  in
-  go ()
-
-let kill_quiet pid signal = try Unix.kill pid signal with Unix.Unix_error _ -> ()
-
-let drain_node n =
-  (match connect n ~timeout_s:2. with
-  | fd ->
-    (try
-       send_frame fd "D";
-       ignore (recv_frame fd)
-     with _ -> ());
-    close_quiet fd
-  | exception _ -> ());
-  pool_clear n;
-  if not (wait_exit ~timeout_s:10. n.npid) then begin
-    kill_quiet n.npid Sys.sigterm;
-    if not (wait_exit ~timeout_s:2. n.npid) then begin
-      kill_quiet n.npid Sys.sigkill;
-      ignore (wait_exit ~timeout_s:2. n.npid)
-    end
-  end
-
 let shutdown t =
   if Atomic.compare_and_set t.stop false true then begin
     (match t.probe_thread with Some th -> Thread.join th | None -> ());
     t.probe_thread <- None;
     Array.iter
-      (fun n ->
-        drain_node n;
-        try Unix.unlink n.npath with Unix.Unix_error _ | Sys_error _ -> ())
+      (fun n -> Backend.stop n.b ~drain_timeout_s:10.)
       t.nodes;
     try Unix.rmdir t.sock_dir with Unix.Unix_error _ | Sys_error _ -> ()
   end
@@ -1443,21 +1145,22 @@ let truncated_tails t = Atomic.get t.truncated_tails
 let quorum_failures t = Atomic.get t.quorum_failures
 let undo_failures t = Atomic.get t.undo_failures
 let repairs t = Atomic.get t.repairs
-let node_pid t i = t.nodes.(i).npid
+let node_pid t i = t.nodes.(i).b.pid
 let node_dir t i = t.nodes.(i).ndir
-let node_socket t i = t.nodes.(i).npath
+let node_socket t i = t.nodes.(i).b.path
 let tainted t i = t.nodes.(i).ntainted
 
 let kill_node t i =
   let n = t.nodes.(i) in
-  kill_quiet n.npid Sys.sigkill;
-  ignore (wait_exit ~timeout_s:5. n.npid);
-  pool_clear n;
+  Backend.kill_quiet n.b Sys.sigkill;
+  (* Reaped: forget the pid so nothing can signal a recycled one. *)
+  if Backend.wait_exit ~timeout_s:5. n.b then n.b.pid <- -1;
+  Backend.pool_clear n.b;
   Breaker.force_open n.nbreaker ~now:(Clock.now ())
 
 let respawn_node t i =
   let n = t.nodes.(i) in
-  pool_clear n;
+  Backend.pool_clear n.b;
   spawn_node t n;
   wait_ready t n ~timeout_s:15.
 
@@ -1466,22 +1169,13 @@ let respawn_node t i =
    is the oracle's substitute, with the probe loop's bookkeeping. *)
 let alive t i =
   let n = t.nodes.(i) in
-  let rec probe () =
-    match Unix.waitpid [ Unix.WNOHANG ] n.npid with
-    | 0, _ -> true
-    | _ ->
-      pool_clear n;
-      Breaker.force_open n.nbreaker ~now:(Clock.now ());
-      n.npid <- -1;
-      false
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> probe ()
-    | exception Unix.Unix_error _ ->
-      (* ECHILD: already reaped (e.g. by [kill_node]). *)
-      pool_clear n;
-      n.npid <- -1;
-      false
-  in
-  n.npid > 0 && probe ()
+  if Backend.exited n.b then begin
+    Backend.pool_clear n.b;
+    Breaker.force_open n.nbreaker ~now:(Clock.now ());
+    n.b.pid <- -1;
+    false
+  end
+  else n.b.pid > 0
 
 let set_partition t i flag = Atomic.set t.nodes.(i).npartitioned flag
 
@@ -1492,33 +1186,6 @@ let statuses t =
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Inject a {replica="i"} label into each unlabeled sample line of a
-   backend's exposition, keeping HELP/TYPE metadata for dedup above. *)
-let relabel ~replica text =
-  String.split_on_char '\n' text
-  |> List.map (fun line ->
-         if line = "" || line.[0] = '#' then line
-         else
-           match String.index_opt line ' ' with
-           | Some i ->
-             Printf.sprintf "%s{replica=\"%d\"}%s" (String.sub line 0 i) replica
-               (String.sub line i (String.length line - i))
-           | None -> line)
-  |> String.concat "\n"
-
-let dedup_metadata text =
-  let seen = Hashtbl.create 64 in
-  String.split_on_char '\n' text
-  |> List.filter (fun line ->
-         if String.length line > 0 && line.[0] = '#' then
-           if Hashtbl.mem seen line then false
-           else begin
-             Hashtbl.add seen line ();
-             true
-           end
-         else true)
-  |> String.concat "\n"
-
 let metrics t =
   let b = Buffer.create 4096 in
   let parts =
@@ -1526,10 +1193,12 @@ let metrics t =
     |> List.filter_map (fun n ->
            match node_call t n "M" with
            | Reply reply when String.length reply > 0 && reply.[0] = 'M' ->
-             Some (relabel ~replica:n.nid (String.sub reply 1 (String.length reply - 1)))
+             Some
+               (Backend.relabel ~label:"replica" n.nid
+                  (String.sub reply 1 (String.length reply - 1)))
            | _ -> None)
   in
-  Buffer.add_string b (dedup_metadata (String.concat "" parts));
+  Buffer.add_string b (Backend.dedup_metadata (String.concat "" parts));
   let sts = Array.map (fun n -> node_status t n) t.nodes in
   let ptotal =
     match sts.(t.primary) with Some st -> st.Repl_log.st_total | None -> 0

@@ -7,7 +7,7 @@
    fault schedule in the same places, run after run. The decision hash
    is Digest (MD5), not for security, just for cheap well-mixed bits.
 
-   No proxy process: the front's shard [call] path consults [decide]
+   No proxy process: the front's [Backend.call] consults [decide]
    once per data-plane frame and enacts the verdict itself on the real
    socket — a delayed frame really arrives late, a truncated frame
    really leaves the backend holding a half-read, a corrupted frame

@@ -4,7 +4,7 @@
     layer's [Fault] injector: every verdict is a pure function of
     (seed, fault kind, shard id, per-shard frame sequence number), so
     one seed replays one byte-identical fault schedule, run after run.
-    The shard [call] path consults {!decide} per data-plane frame and
+    {!Backend.call} consults {!decide} per data-plane frame and
     enacts the verdict on the real socket — control frames and health
     probes are exempt. *)
 
