@@ -76,7 +76,11 @@ val total_bytes : t -> int
 
 val live_segments : t -> (int * int) list
 (** [(id, durable length)] per live segment, for anti-entropy digest
-    comparison. *)
+    comparison. While this handle stays open, the bytes below a live
+    segment's durable length never change: a failed append repairs back
+    only to that length, and appends land at or past it. Only recovery
+    at open rewrites them, which is what lets {!Seg_digest} cache block
+    hashes across calls. *)
 
 val append_epoch_marker : t -> epoch:int -> (unit, error) result
 (** Adopt [epoch] and append the durable promotion record. *)

@@ -85,6 +85,10 @@ type repl_trial = {
   rt_resurrected : int;  (** present on some replica but never acked *)
 }
 
+val seg_digests : string -> (string * string) list
+(** [(file name, MD5 hex of the whole file)] for every segment file in a
+    directory, read from disk — the byte-for-byte convergence check. *)
+
 val run_repl_trial :
   dir:string ->
   seed:int ->

@@ -12,13 +12,17 @@
      'S' status           position / epoch / segment digests  reply 'T'
      'E' promote          adopt a new term, append the marker reply 'T'
      'F' fetch            segment byte range (catch-up)       reply 'B'
-     'H' prefix digest    MD5 of a segment prefix             reply 'B'
+     'H' prefix digest    digest of a segment prefix          reply 'B'
      'I' install          stage a segment splice              reply "K"
      'Z' commit           apply staged splices, reopen        reply 'T'
      'G' get              read one document                   reply 'V'
      'M' metrics          store Prometheus block              reply 'M'+text
      'C' checkpoint       fsync + manifest swap               reply "K"
      'D' drain            checkpoint, close, exit             reply "D"
+
+   The digests in 'S' and 'H' are Seg_digest hash lists in hex: MD5
+   over the MD5s of the prefix's 64 KiB blocks, its trailing partial
+   block and its length, so the empty prefix has one digest on both.
 
    A write carries the primary's pre-append position; a replica whose
    log is not exactly there answers a structured nack instead of
@@ -216,7 +220,7 @@ let decode_fetch payload pos =
   let upto = get_u32 payload pos in
   (seg, from, upto)
 
-(* MD5 hex of segment [seg]'s first [upto] bytes — the anti-entropy
+(* Digest of segment [seg]'s first [upto] bytes — the anti-entropy
    prefix check that decides between streaming a suffix and replacing a
    whole segment, without moving the prefix itself. *)
 let encode_prefix_digest ~seg ~upto =

@@ -32,8 +32,14 @@
    history at a digest-visible point and repair truncates that tail
    rather than resurrecting it.
 
-   Anti-entropy: repair compares per-segment extents and MD5 digests
-   between the primary and a replica, streams only missing suffixes
+   Anti-entropy: repair compares per-segment extents and digests
+   between the primary and a replica. A digest is a hash list (MD5
+   over the MD5s of a segment's 64 KiB blocks, its tail and its
+   length), and each backend caches the hashes of full blocks below the
+   committed length, which never change while its store is open
+   ({!Seg_digest}); a probe round therefore reads only new bytes, and
+   the undo and splice-commit surgery resets the cache. Repair streams
+   only missing suffixes
    when the shared prefix still matches (prefix-digest checked),
    replaces segments wholesale otherwise, and commits the splices
    atomically on the replica (close, splice files, drop the stale
@@ -84,12 +90,6 @@ let spec_of_string s =
 
 let seg_path dir id = Filename.concat dir (Segment.seg_name id)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let write_all_fd fd data =
   let len = String.length data in
   let rec go off =
@@ -97,27 +97,20 @@ let write_all_fd fd data =
   in
   go 0
 
-(* The physical durable extent of a segment: the store's committed
-   length clipped to what the file actually holds. Digests and fetches
-   are computed over these bytes — what a rejoining replica could
-   really replay — never over lengths a lying fsync merely reported. *)
-let physical_extent dir (id, len) =
-  match read_file (seg_path dir id) with
-  | data -> (id, min len (String.length data), data)
-  | exception Sys_error _ -> (id, 0, "")
-
-let backend_status store ~digests =
+(* Status, prefix digests and fetches all read through the backend's
+   {!Seg_digest} cache: a probe costs a stat per segment plus the bytes
+   appended since the previous one, never a whole-log read. *)
+let backend_status digests store ~with_digests =
   let dir = Log.dir store in
+  let live = Log.live_segments store in
+  Seg_digest.prune digests live;
   let segs =
     List.map
-      (fun ext ->
-        let id, len, data = physical_extent dir ext in
-        let digest =
-          if digests && len > 0 then Digest.to_hex (Digest.string (String.sub data 0 len))
-          else ""
-        in
+      (fun (id, committed) ->
+        let len = Seg_digest.extent ~dir (id, committed) in
+        let digest = if with_digests then Seg_digest.digest digests ~dir ~id ~upto:len else "" in
         { Repl_log.g_id = id; g_len = len; g_digest = digest })
-      (Log.live_segments store)
+      live
   in
   {
     Repl_log.st_epoch = Log.epoch store;
@@ -127,12 +120,21 @@ let backend_status store ~digests =
     st_quarantined = List.length (Log.quarantined store);
   }
 
+(* The physical extent of [seg] if it is live, else 0. *)
+let live_extent store seg =
+  match List.assoc_opt seg (Log.live_segments store) with
+  | Some committed -> Seg_digest.extent ~dir:(Log.dir store) (seg, committed)
+  | None -> 0
+
 (* Close the store, mutate its files, drop the (now stale) manifest
    checkpoint so recovery replays the mutated segments from their
    headers, and reopen. Undo and splice-commit both reuse recovery
-   wholesale instead of editing live store state. *)
-let surgery sp plane store mutate =
+   wholesale instead of editing live store state. The only place
+   bytes below a committed length change, so the digest cache is
+   reset with it. *)
+let surgery sp plane store digests mutate =
   Log.close !store;
+  Seg_digest.reset digests;
   let ok = try mutate (); true with Unix.Unix_error _ | Sys_error _ -> false in
   List.iter
     (fun name ->
@@ -176,7 +178,7 @@ let apply_splice sp (seg, from, data) =
         write_all_fd fd data)
   end
 
-let backend_handle sp plane store staged payload pos =
+let backend_handle sp plane store digests staged payload pos =
   match Char.chr (Frame.get_u8 payload pos) with
   | 'P' -> "P"
   | 'W' -> (
@@ -231,7 +233,7 @@ let backend_handle sp plane store staged payload pos =
          poisons the election rank. *)
       Frame.nack (Printf.sprintf "undo-ahead %d %d" cur_seg cur_off)
     else begin
-      let ok = surgery sp plane store (fun () -> undo_files sp ~seg ~off) in
+      let ok = surgery sp plane store digests (fun () -> undo_files sp ~seg ~off) in
       let cur_seg, cur_off = Log.position !store in
       if ok && (cur_seg < seg || (cur_seg = seg && cur_off <= off)) then begin
         (* The node had applied this term's write (it log-matched at
@@ -246,32 +248,24 @@ let backend_handle sp plane store staged payload pos =
         Frame.nack (Printf.sprintf "undo-failed %d %d" cur_seg cur_off)
     end
   | 'S' ->
-    let digests = Frame.get_u8 payload pos = 1 in
-    Repl_log.encode_status (backend_status !store ~digests)
+    let with_digests = Frame.get_u8 payload pos = 1 in
+    Repl_log.encode_status (backend_status digests !store ~with_digests)
   | 'E' -> (
     let epoch = Frame.get_u32 payload pos in
     match Log.append_epoch_marker !store ~epoch with
-    | Ok () -> Repl_log.encode_status (backend_status !store ~digests:false)
+    | Ok () -> Repl_log.encode_status (backend_status digests !store ~with_digests:false)
     | Error e -> Frame.nack (Log.error_message e))
   | 'F' ->
     let seg, from, upto = Repl_log.decode_fetch payload pos in
-    let _, len, data =
-      match List.assoc_opt seg (Log.live_segments !store) with
-      | Some durable -> physical_extent sp.rp_dir (seg, durable)
-      | None -> (seg, 0, "")
-    in
+    let len = live_extent !store seg in
     let upto = if upto = 0 then len else min upto len in
     let from = min from upto in
-    Repl_log.encode_bytes (String.sub data from (upto - from))
+    Repl_log.encode_bytes (Seg_digest.read ~dir:sp.rp_dir ~id:seg ~off:from ~len:(upto - from))
   | 'H' ->
     let seg, upto = Repl_log.decode_prefix_digest payload pos in
-    let _, len, data =
-      match List.assoc_opt seg (Log.live_segments !store) with
-      | Some durable -> physical_extent sp.rp_dir (seg, durable)
-      | None -> (seg, 0, "")
-    in
+    let len = live_extent !store seg in
     if upto > len then Frame.nack (Printf.sprintf "prefix-short %d" len)
-    else Repl_log.encode_bytes (Digest.to_hex (Digest.string (String.sub data 0 upto)))
+    else Repl_log.encode_bytes (Seg_digest.digest digests ~dir:sp.rp_dir ~id:seg ~upto)
   | 'I' ->
     let seg, from, data = Repl_log.decode_install payload pos in
     Hashtbl.replace staged seg (from, data);
@@ -279,7 +273,7 @@ let backend_handle sp plane store staged payload pos =
   | 'Z' ->
     let epoch, keep = Repl_log.decode_commit payload pos in
     let ok =
-      surgery sp plane store (fun () ->
+      surgery sp plane store digests (fun () ->
           Hashtbl.iter (fun seg (from, data) -> apply_splice sp (seg, from, data)) staged;
           (* Segments the primary no longer has — a deposed tail that
              rotated into its own file, or quarantined junk — are dropped,
@@ -298,7 +292,7 @@ let backend_handle sp plane store staged payload pos =
          epoch adopted over partial content would let this node outrank
          replicas that actually hold the acked prefix. *)
       Log.set_epoch !store epoch;
-      Repl_log.encode_status (backend_status !store ~digests:false)
+      Repl_log.encode_status (backend_status digests !store ~with_digests:false)
     end
     else Frame.nack "commit-failed"
   | 'G' -> (
@@ -333,6 +327,7 @@ let backend_main sp =
      and replication throughput is bounded by fsync, not lock width. *)
   let op_mutex = Mutex.create () in
   let staged : (int, int * string) Hashtbl.t = Hashtbl.create 8 in
+  let digests = Seg_digest.create () in
   if sp.rp_scrub_s > 0. then
     ignore
       (Thread.create
@@ -355,7 +350,7 @@ let backend_main sp =
       Fun.protect
         ~finally:(fun () -> Mutex.unlock op_mutex)
         (fun () ->
-          try backend_handle sp plane store staged payload (ref 0) with
+          try backend_handle sp plane store digests staged payload (ref 0) with
           | Frame.Protocol_error m -> Frame.nack ("protocol: " ^ m)
           | Segment.Corrupt m -> Frame.nack ("store:corrupt: " ^ m)));
   Log.close !store;
@@ -501,91 +496,101 @@ let install t n ~seg ~from data =
    divergent) with the primary's image a clean prefix → truncate the
    deposed tail; anything else → replace the segment wholesale.
    Segments the primary no longer has are dropped by the commit.
+   [n] is a follower and [pst] the primary's status with digests.
    Caller holds rmutex. *)
-let repair_node t n =
+let repair_node t ~pst n =
   let p = t.nodes.(t.primary) in
-  if n.nid = p.nid then true
-  else
-    match (node_status ~digests:true t p, node_status ~digests:true t n) with
-    | Some pst, Some rst ->
-      let rsegs = List.map (fun g -> (g.Repl_log.g_id, g)) rst.Repl_log.st_segs in
-      let pids = List.map (fun g -> g.Repl_log.g_id) pst.Repl_log.st_segs in
-      let truncating =
-        ref (List.exists (fun (id, _) -> not (List.mem id pids)) rsegs)
-      in
-      let steps =
-        List.filter_map
-          (fun (pg : Repl_log.seg_info) ->
-            match List.assoc_opt pg.Repl_log.g_id rsegs with
-            | None -> Some (`Full pg)
-            | Some rg
-              when rg.Repl_log.g_len = pg.Repl_log.g_len
-                   && rg.Repl_log.g_digest = pg.Repl_log.g_digest ->
-              None
-            | Some rg when rg.Repl_log.g_len < pg.Repl_log.g_len -> (
-              match prefix_digest t p ~seg:pg.Repl_log.g_id ~upto:rg.Repl_log.g_len with
-              | Some d when d = rg.Repl_log.g_digest ->
-                Some (`Suffix (pg, rg.Repl_log.g_len))
-              | _ ->
-                (* Shorter but with different bytes: a deposed tail the
-                   new term has since outgrown. *)
-                truncating := true;
-                Some (`Full pg))
-            | Some _ -> (
-              (* Replica at or past the primary's extent with different
-                 bytes somewhere: a deposed-primary tail. *)
+  match node_status ~digests:true t n with
+  | Some rst ->
+    let rsegs = List.map (fun g -> (g.Repl_log.g_id, g)) rst.Repl_log.st_segs in
+    let pids = List.map (fun g -> g.Repl_log.g_id) pst.Repl_log.st_segs in
+    let truncating =
+      ref (List.exists (fun (id, _) -> not (List.mem id pids)) rsegs)
+    in
+    let steps =
+      List.filter_map
+        (fun (pg : Repl_log.seg_info) ->
+          match List.assoc_opt pg.Repl_log.g_id rsegs with
+          | None -> Some (`Full pg)
+          | Some rg
+            when rg.Repl_log.g_len = pg.Repl_log.g_len
+                 && rg.Repl_log.g_digest = pg.Repl_log.g_digest ->
+            None
+          | Some rg when rg.Repl_log.g_len < pg.Repl_log.g_len -> (
+            match prefix_digest t p ~seg:pg.Repl_log.g_id ~upto:rg.Repl_log.g_len with
+            | Some d when d = rg.Repl_log.g_digest ->
+              Some (`Suffix (pg, rg.Repl_log.g_len))
+            | _ ->
+              (* Shorter but with different bytes: a deposed tail the
+                 new term has since outgrown. *)
               truncating := true;
-              match prefix_digest t n ~seg:pg.Repl_log.g_id ~upto:pg.Repl_log.g_len with
-              | Some d when d = pg.Repl_log.g_digest ->
-                Some (`Cut (pg.Repl_log.g_id, pg.Repl_log.g_len))
-              | _ -> Some (`Full pg)))
-          pst.Repl_log.st_segs
-      in
-      if steps = [] && not !truncating && rst.Repl_log.st_epoch = pst.Repl_log.st_epoch
-      then begin
-        n.ntainted <- false;
-        n.ntaint_floor <- None;
-        true
-      end
-      else begin
-        let ok = ref true in
-        List.iter
-          (fun step ->
-            if !ok then
-              match step with
-              | `Cut (id, len) -> if not (install t n ~seg:id ~from:len "") then ok := false
-              | `Suffix (pg, from) -> (
-                match
-                  fetch t p ~seg:pg.Repl_log.g_id ~from ~upto:pg.Repl_log.g_len
-                with
-                | Some data when String.length data = pg.Repl_log.g_len - from ->
-                  if not (install t n ~seg:pg.Repl_log.g_id ~from data) then ok := false
-                | _ -> ok := false)
-              | `Full pg -> (
-                match fetch t p ~seg:pg.Repl_log.g_id ~from:0 ~upto:pg.Repl_log.g_len with
-                | Some data when String.length data = pg.Repl_log.g_len ->
-                  if not (install t n ~seg:pg.Repl_log.g_id ~from:0 data) then ok := false
-                | _ -> ok := false))
-          steps;
-        !ok
-        &&
-        match node_call t n (Repl_log.encode_commit ~epoch:pst.Repl_log.st_epoch pids) with
-        | Reply rp -> (
-          match Repl_log.decode_status rp with
-          | st
-            when st.Repl_log.st_epoch = pst.Repl_log.st_epoch
-                 && st.Repl_log.st_pos = pst.Repl_log.st_pos
-                 && st.Repl_log.st_total = pst.Repl_log.st_total ->
-            if !truncating then Atomic.incr t.truncated_tails;
-            n.ntainted <- false;
-            n.ntaint_floor <- None;
-            Atomic.incr t.repairs;
-            true
-          | _ -> false
-          | exception _ -> false)
-        | Nack _ | Down _ -> false
-      end
-    | _ -> false
+              Some (`Full pg))
+          | Some _ -> (
+            (* Replica at or past the primary's extent with different
+               bytes somewhere: a deposed-primary tail. *)
+            truncating := true;
+            match prefix_digest t n ~seg:pg.Repl_log.g_id ~upto:pg.Repl_log.g_len with
+            | Some d when d = pg.Repl_log.g_digest ->
+              Some (`Cut (pg.Repl_log.g_id, pg.Repl_log.g_len))
+            | _ -> Some (`Full pg)))
+        pst.Repl_log.st_segs
+    in
+    if steps = [] && not !truncating && rst.Repl_log.st_epoch = pst.Repl_log.st_epoch
+    then begin
+      n.ntainted <- false;
+      n.ntaint_floor <- None;
+      true
+    end
+    else begin
+      let ok = ref true in
+      List.iter
+        (fun step ->
+          if !ok then
+            match step with
+            | `Cut (id, len) -> if not (install t n ~seg:id ~from:len "") then ok := false
+            | `Suffix (pg, from) -> (
+              match
+                fetch t p ~seg:pg.Repl_log.g_id ~from ~upto:pg.Repl_log.g_len
+              with
+              | Some data when String.length data = pg.Repl_log.g_len - from ->
+                if not (install t n ~seg:pg.Repl_log.g_id ~from data) then ok := false
+              | _ -> ok := false)
+            | `Full pg -> (
+              match fetch t p ~seg:pg.Repl_log.g_id ~from:0 ~upto:pg.Repl_log.g_len with
+              | Some data when String.length data = pg.Repl_log.g_len ->
+                if not (install t n ~seg:pg.Repl_log.g_id ~from:0 data) then ok := false
+              | _ -> ok := false))
+        steps;
+      !ok
+      &&
+      match node_call t n (Repl_log.encode_commit ~epoch:pst.Repl_log.st_epoch pids) with
+      | Reply rp -> (
+        match Repl_log.decode_status rp with
+        | st
+          when st.Repl_log.st_epoch = pst.Repl_log.st_epoch
+               && st.Repl_log.st_pos = pst.Repl_log.st_pos
+               && st.Repl_log.st_total = pst.Repl_log.st_total ->
+          if !truncating then Atomic.incr t.truncated_tails;
+          n.ntainted <- false;
+          n.ntaint_floor <- None;
+          Atomic.incr t.repairs;
+          true
+        | _ -> false
+        | exception _ -> false)
+      | Nack _ | Down _ -> false
+    end
+  | None -> false
+
+(* Repair each of [nodes] other than the primary against one image of
+   the primary, taken once for the round. Returns the followers repaired
+   or verified in sync. Caller holds rmutex. *)
+let repair_round t nodes =
+  match node_status ~digests:true t t.nodes.(t.primary) with
+  | None -> 0
+  | Some pst ->
+    List.fold_left
+      (fun acc n -> if n.nid <> t.primary && repair_node t ~pst n then acc + 1 else acc)
+      0 nodes
 
 let seg_images st =
   List.map
@@ -710,13 +715,9 @@ let promote t =
         n.ntainted <- false;
         n.ntaint_floor <- None;
         Atomic.incr t.promotions;
-        List.iter
-          (fun (m, _) ->
-            if m.nid <> n.nid then
-              (* Stream the marker (and whatever else the follower is
-                 missing) right away so it can ack the next write. *)
-              ignore (repair_node t m))
-          cands;
+        (* Stream the marker (and whatever else the followers are
+           missing) right away so they can ack the next write. *)
+        ignore (repair_round t (List.map fst cands));
         true
       | _ ->
         (* Burn the attempted term: the marker may have landed with the
@@ -930,10 +931,7 @@ let repair t =
          untainted node first, so the taint's unacked tail is truncated
          rather than replicated. *)
       ignore (ensure_primary t);
-      Array.fold_left
-        (fun acc n ->
-          if n.nid <> t.primary && repair_node t n then acc + 1 else acc)
-        0 t.nodes)
+      repair_round t (Array.to_list t.nodes))
 
 let repair_until_converged t ~max_rounds =
   let rec go r =
@@ -1021,11 +1019,10 @@ let rec probe_loop t =
         t.nodes;
       with_rlock t (fun () ->
           ignore (ensure_primary t);
-          (* Background anti-entropy: a no-op two-status exchange per
-             in-sync replica, real streaming only when one lags. *)
-          Array.iter
-            (fun n -> if n.nid <> t.primary then ignore (repair_node t n))
-            t.nodes);
+          (* Background anti-entropy: one primary status per round and a
+             no-op status exchange per in-sync replica, real streaming
+             only when one lags. *)
+          ignore (repair_round t (Array.to_list t.nodes)));
       probe_loop t
     end
   end
@@ -1117,7 +1114,7 @@ let create ?(config = default_config) ~dir () =
         end
       in
       if not (elect 10) then failwith "replica cluster failed its first election";
-      Array.iter (fun n -> if n.nid <> t.primary then ignore (repair_node t n)) nodes);
+      ignore (repair_round t (Array.to_list nodes)));
   Atomic.set t.promotions 0;
   if cfg.probe_interval_s > 0. then
     t.probe_thread <- Some (Thread.create (fun () -> probe_loop t) ());

@@ -7,6 +7,7 @@ module Segment = Segment
 module Manifest = Manifest
 module Scrub = Scrub
 module Oracle = Oracle
+module Seg_digest = Seg_digest
 module Repl_log = Repl_log
 module Replica = Replica
 include Log

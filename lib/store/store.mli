@@ -8,13 +8,14 @@
     plane ([Io_fault]), on-disk formats ([Segment], [Manifest]), the
     offline checksum scrub ([Scrub]), the kill-point crash oracle
     ([Oracle]), and quorum-acked replication ([Replica] over the
-    [Repl_log] frame family). *)
+    [Repl_log] frame family, with [Seg_digest] anti-entropy digests). *)
 
 module Io_fault = Io_fault
 module Segment = Segment
 module Manifest = Manifest
 module Scrub = Scrub
 module Oracle = Oracle
+module Seg_digest = Seg_digest
 module Repl_log = Repl_log
 module Replica = Replica
 

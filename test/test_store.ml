@@ -552,6 +552,245 @@ let test_repl_oracle_mini () =
   check int_t "no refused write resurrected" 0 s.Oracle.rs_resurrected;
   check int_t "every trial converged byte-identically" 0 s.Oracle.rs_diverged
 
+(* A write shipped straight to one backend, bypassing the coordinator:
+   an unreplicated tail on that node. *)
+let ghost_put cl node ~doc body =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX (Replica.node_socket cl node));
+      Frame.send_frame fd
+        (Repl_log.encode_write
+           {
+             Repl_log.w_epoch = Replica.epoch cl;
+             w_expect = None;
+             w_kind = `Put;
+             w_collection = "c";
+             w_doc = doc;
+             w_body = body;
+           });
+      ignore (Frame.recv_frame fd))
+
+(* A follower that died mid-rotation holds a live zero-length segment
+   (its header never became durable). The empty prefix has one digest,
+   so repair streams that segment as a suffix from offset 0 and counts
+   no truncated tail. *)
+let test_repl_zero_length_segment_suffix () =
+  let dir = fresh_dir () in
+  let cl = Replica.create ~config:(repl_config ~segbytes:4096 ()) ~dir () in
+  Fun.protect
+    ~finally:(fun () -> Replica.shutdown cl)
+    (fun () ->
+      ignore (repl_put cl ~doc:"d0" (doc_xml 0));
+      let p = Replica.primary cl in
+      let victim = (p + 1) mod Replica.replica_count cl in
+      Replica.kill_node cl victim;
+      let oc =
+        open_out_bin (Filename.concat (Replica.node_dir cl victim) (Segment.seg_name 1))
+      in
+      output_string oc (String.sub Segment.magic 0 3);
+      close_out oc;
+      for i = 1 to 40 do
+        ignore (repl_put cl ~doc:(Printf.sprintf "d%d" i) (doc_xml i))
+      done;
+      check bool_t "victim respawned" true (Replica.respawn_node cl victim);
+      (match (Replica.statuses cl).(victim) with
+      | Some st ->
+        check bool_t "victim holds a live zero-length segment" true
+          (List.exists
+             (fun g -> g.Repl_log.g_id = 1 && g.Repl_log.g_len = 0)
+             st.Repl_log.st_segs)
+      | None -> Alcotest.fail "no status from the respawned victim");
+      let tails = Replica.truncated_tails cl in
+      check bool_t "caught up" true (Replica.repair_until_converged cl ~max_rounds:4);
+      check bool_t "anti-entropy repaired" true (Replica.repairs cl > 0);
+      check int_t "no phantom truncated tail" tails (Replica.truncated_tails cl))
+
+(* Multi-block segments, so digest caches hold full blocks: the old
+   primary caches a tail that then diverges, is deposed, and rejoins.
+   Repair must converge, and the segment files must match byte for byte
+   by whole-file MD5 read from disk, not through the digest under
+   test. *)
+let test_repl_multiblock_convergence () =
+  let dir = fresh_dir () in
+  let cl = Replica.create ~config:(repl_config ~segbytes:(512 * 1024) ()) ~dir () in
+  let big i c = Printf.sprintf "<doc n=\"%d\">%s</doc>" i (String.make 20_000 c) in
+  Fun.protect
+    ~finally:(fun () -> Replica.shutdown cl)
+    (fun () ->
+      for i = 0 to 11 do
+        ignore (repl_put cl ~doc:(Printf.sprintf "d%d" i) (big i 'a'))
+      done;
+      check int_t "every follower in sync" 2 (Replica.repair cl);
+      let p = Replica.primary cl in
+      for i = 0 to 2 do
+        ghost_put cl p ~doc:(Printf.sprintf "ghost%d" i) (big i 'g')
+      done;
+      (* Every node hashes its current image, the ghost blocks included. *)
+      ignore (Replica.statuses cl);
+      Replica.set_partition cl p true;
+      for i = 12 to 16 do
+        ignore (repl_put cl ~doc:(Printf.sprintf "d%d" i) (big i 'b'))
+      done;
+      check bool_t "old primary deposed" true (Replica.primary cl <> p);
+      Replica.set_partition cl p false;
+      check bool_t "converged after rejoin" true
+        (Replica.repair_until_converged cl ~max_rounds:6);
+      for i = 17 to 19 do
+        ignore (repl_put cl ~doc:(Printf.sprintf "d%d" i) (big i 'c'))
+      done;
+      check bool_t "converged after more writes" true
+        (Replica.repair_until_converged cl ~max_rounds:6);
+      (match Replica.get cl ~collection:"c" ~doc:"ghost0" with
+      | Error `Not_found -> ()
+      | Ok _ -> Alcotest.fail "unacked ghost resurrected"
+      | Error e -> Alcotest.failf "ghost read: %s" (Replica.error_message e));
+      Replica.shutdown cl;
+      let images =
+        List.init (Replica.replica_count cl) (fun i -> Oracle.seg_digests (Replica.node_dir cl i))
+      in
+      check bool_t "segments on disk" true (List.hd images <> []);
+      List.iteri
+        (fun i img ->
+          check bool_t (Printf.sprintf "replica %d byte-identical" i) true (img = List.hd images))
+        images)
+
+(* ------------------------------------------------------------------ *)
+(* Anti-entropy digests: the cached hash list                          *)
+(* ------------------------------------------------------------------ *)
+
+module Seg_digest = Store.Seg_digest
+
+let read_whole path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The uncached reference: the hash list of segment [id]'s bytes
+   [0, upto), read whole from disk. *)
+let fresh_digest dir id ~upto =
+  Seg_digest.of_string
+    (String.sub (read_whole (Filename.concat dir (Segment.seg_name id))) 0 upto)
+
+(* Every live segment's cached digest, at its extent and at half of it,
+   agrees with a fresh one. *)
+let cache_agrees cache s =
+  let dir = Store.dir s in
+  let live = Store.live_segments s in
+  Seg_digest.prune cache live;
+  List.for_all
+    (fun (id, committed) ->
+      let len = Seg_digest.extent ~dir (id, committed) in
+      List.for_all
+        (fun upto -> Seg_digest.digest cache ~dir ~id ~upto = fresh_digest dir id ~upto)
+        [ len; len / 2; len ])
+    live
+
+type digest_op = Put of int * int | Delete of int | Scrub_pass
+
+let prop_digest_cache_differential =
+  let gen =
+    QCheck.Gen.(
+      pair (int_bound 10_000)
+        (list_size (int_range 5 40)
+           (frequency
+              [
+                (6, map2 (fun d n -> Put (d, n)) (int_bound 7) (int_range 500 30_000));
+                (2, map (fun d -> Delete d) (int_bound 7));
+                (1, return Scrub_pass);
+              ])))
+  in
+  let print (seed, ops) =
+    Printf.sprintf "seed %d: %s" seed
+      (String.concat "; "
+         (List.map
+            (function
+              | Put (d, n) -> Printf.sprintf "put d%d %dB" d n
+              | Delete d -> Printf.sprintf "delete d%d" d
+              | Scrub_pass -> "scrub")
+            ops))
+  in
+  QCheck.Test.make ~name:"cached segment digests equal fresh ones under faults" ~count:40
+    (QCheck.make gen ~print) (fun (seed, ops) ->
+      let dir = fresh_dir () in
+      (* Create the first segment without faults, then reopen on the
+         plane: open itself then writes nothing a fault could hit. *)
+      Store.close (Store.open_store dir);
+      let plane =
+        Io_fault.of_seed ~short_write_rate:0.08 ~fsync_fail_rate:0.08 ~fsync_ignore_rate:0.04
+          seed
+      in
+      (* 160 KiB segments: two full 64 KiB blocks and a tail each. *)
+      let s = Store.open_store ~plane ~max_segment_bytes:(160 * 1024) dir in
+      let cache = Seg_digest.create () in
+      Fun.protect
+        ~finally:(fun () -> Store.close s)
+        (fun () ->
+          List.for_all
+            (fun op ->
+              (match op with
+              | Put (d, n) ->
+                ignore
+                  (Store.put s ~collection:"c" ~doc:(Printf.sprintf "d%d" d)
+                     (String.make n (Char.chr (97 + (n mod 26)))))
+              | Delete d -> ignore (Store.delete s ~collection:"c" ~doc:(Printf.sprintf "d%d" d))
+              | Scrub_pass -> ignore (Store.scrub_pass s));
+              cache_agrees cache s)
+            ops))
+
+(* Undo into an already-cached block, then re-append different bytes
+   up to the same length: only the reset that file surgery performs
+   keeps the cache exact. *)
+let test_seg_digest_reset_after_undo () =
+  let dir = fresh_dir () in
+  let s = Store.open_store ~max_segment_bytes:(1024 * 1024) dir in
+  let body c = String.make 20_000 c in
+  let ends =
+    List.init 10 (fun i ->
+        ignore (put_ok s ~doc:(Printf.sprintf "d%d" i) (body 'x'));
+        snd (Store.position s))
+  in
+  let cache = Seg_digest.create () in
+  let len = Seg_digest.extent ~dir (0, List.assoc 0 (Store.live_segments s)) in
+  check bool_t "several full blocks" true (len > 3 * Seg_digest.block_size);
+  let before = Seg_digest.digest cache ~dir ~id:0 ~upto:len in
+  (* A record boundary inside block 1, already hashed into the cache. *)
+  let k, cut =
+    List.find
+      (fun (_, off) -> off > Seg_digest.block_size && off < 2 * Seg_digest.block_size)
+      (List.mapi (fun i off -> (i, off)) ends)
+  in
+  Store.close s;
+  Unix.truncate (Filename.concat dir (Segment.seg_name 0)) cut;
+  List.iter
+    (fun name -> try Unix.unlink (Filename.concat dir name) with Unix.Unix_error _ -> ())
+    [ Manifest.file_name; Manifest.tmp_name ];
+  let s = Store.open_store ~max_segment_bytes:(1024 * 1024) dir in
+  for i = k + 1 to 9 do
+    ignore (put_ok s ~doc:(Printf.sprintf "d%d" i) (body 'y'))
+  done;
+  let len' = Seg_digest.extent ~dir (0, List.assoc 0 (Store.live_segments s)) in
+  Store.close s;
+  check int_t "same length re-appended" len len';
+  Seg_digest.reset cache;
+  let after = Seg_digest.digest cache ~dir ~id:0 ~upto:len in
+  check bool_t "different bytes, different digest" true (after <> before);
+  check Alcotest.string "reset cache agrees with a fresh digest" (fresh_digest dir 0 ~upto:len)
+    after
+
+let test_seg_digest_empty_prefix () =
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir (Segment.seg_name 3) in
+  close_out (open_out_bin path);
+  let cache = Seg_digest.create () in
+  check int_t "zero extent" 0 (Seg_digest.extent ~dir (3, 4096));
+  check Alcotest.string "one digest for the empty prefix" (Seg_digest.of_string "")
+    (Seg_digest.digest cache ~dir ~id:3 ~upto:0);
+  check int_t "missing file has zero extent" 0 (Seg_digest.extent ~dir (4, 4096))
+
 let suite =
   [
     ( "store",
@@ -590,5 +829,13 @@ let suite =
           test_repl_catchup_after_rotation;
         Alcotest.test_case "replication oracle: seeded storms, miniature" `Slow
           test_repl_oracle_mini;
+        Alcotest.test_case "zero-length segment catches up by suffix" `Slow
+          test_repl_zero_length_segment_suffix;
+        Alcotest.test_case "multi-block segments converge byte for byte" `Slow
+          test_repl_multiblock_convergence;
+        Alcotest.test_case "digest cache reset after undo into a cached block" `Quick
+          test_seg_digest_reset_after_undo;
+        Alcotest.test_case "empty prefix has one digest" `Quick test_seg_digest_empty_prefix;
+        QCheck_alcotest.to_alcotest prop_digest_cache_differential;
       ] );
   ]
