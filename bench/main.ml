@@ -415,7 +415,10 @@ let e6 () =
     let t =
       best_ms (fun () ->
           n := 0;
-          ignore (Xquery.Engine.execute ~trace_out:(fun _ -> incr n) compiled))
+          ignore
+            (Xquery.Engine.run
+               ~opts:(Xquery.Engine.Exec_opts.make ~trace_out:(fun _ -> incr n) ())
+               compiled))
     in
     let eliminated =
       match compiled.Xquery.Engine.opt_stats with
@@ -435,20 +438,21 @@ let e6 () =
   let t, n, e = measure Xquery.Context.galax_compat live_q in
   Printf.printf "  %-46s %10.3f %14d %12d\n" "insinuated into live code (the workaround)" t n
     e;
+  let quiet = Xquery.Engine.Exec_opts.make ~trace_out:ignore () in
   run_bechamel_group ~name:"e6_trace_dead_code"
     [
       Test.make ~name:"traces_preserved"
         (Staged.stage
            (let c = Xquery.Engine.compile ~compat:Xquery.Context.default_compat dead_q in
-            fun () -> ignore (Xquery.Engine.execute ~trace_out:ignore c)));
+            fun () -> ignore (Xquery.Engine.run ~opts:quiet c)));
       Test.make ~name:"traces_eliminated"
         (Staged.stage
            (let c = Xquery.Engine.compile ~compat:Xquery.Context.galax_compat dead_q in
-            fun () -> ignore (Xquery.Engine.execute ~trace_out:ignore c)));
+            fun () -> ignore (Xquery.Engine.run ~opts:quiet c)));
       Test.make ~name:"traces_insinuated"
         (Staged.stage
            (let c = Xquery.Engine.compile ~compat:Xquery.Context.galax_compat live_q in
-            fun () -> ignore (Xquery.Engine.execute ~trace_out:ignore c)));
+            fun () -> ignore (Xquery.Engine.run ~opts:quiet c)));
     ]
 
 (* ---------------------------------------------------------------- *)
@@ -596,8 +600,8 @@ let a1 () =
     (fun (label, q) ->
       let copt = Xquery.Engine.compile ~optimize:true q in
       let craw = Xquery.Engine.compile ~optimize:false q in
-      let t_on = best_ms (fun () -> ignore (Xquery.Engine.execute copt)) in
-      let t_off = best_ms (fun () -> ignore (Xquery.Engine.execute craw)) in
+      let t_on = best_ms (fun () -> ignore (Xquery.Engine.run copt)) in
+      let t_off = best_ms (fun () -> ignore (Xquery.Engine.run craw)) in
       Printf.printf "  %-20s %14.3f %14.3f %7.2fx\n" label t_on t_off
         (t_off /. Float.max 1e-9 t_on))
     corpus
@@ -718,17 +722,16 @@ let a4 () =
 (* E9: the evaluator fast path                                       *)
 (* ---------------------------------------------------------------- *)
 
-(* Three arms on the same compiled query — seed algorithms, the fast
-   interpreter, and the compiled plan executor — with the display string
-   as the identity oracle. Results feed the --json emitter so the perf
-   trajectory is recorded per PR. *)
-let e9_results : (string * float * float * float) list ref = ref []
+(* Two arms on the same compiled query — the reference tree-walker with
+   the seed algorithms, and the Fast mode's plan executor — with the
+   display string as the identity oracle. Results feed the --json emitter
+   so the perf trajectory is recorded per PR. *)
+let e9_results : (string * float * float) list ref = ref []
 
-let e9_record name slow fast plan =
-  e9_results := (name, slow, fast, plan) :: !e9_results;
-  Printf.printf "  %-24s %12.3f %12.3f %12.3f %9.1fx %9.1fx\n" name slow fast plan
-    (slow /. Float.max 1e-9 fast)
-    (slow /. Float.max 1e-9 plan)
+let e9_record name seed fast =
+  e9_results := (name, seed, fast) :: !e9_results;
+  Printf.printf "  %-24s %12.3f %12.3f %9.1fx\n" name seed fast
+    (seed /. Float.max 1e-9 fast)
 
 let e9_write_json path =
   let oc = open_out path in
@@ -737,14 +740,12 @@ let e9_write_json path =
   output_string oc
     (String.concat ",\n"
        (List.rev_map
-          (fun (name, slow, fast, plan) ->
+          (fun (name, seed, fast) ->
             Printf.sprintf
-              "    {\"name\": \"%s\", \"slow_ms\": %.3f, \"fast_ms\": %.3f, \
-               \"speedup\": %.2f, \"plan_ms\": %.3f, \"plan_speedup\": %.2f}"
-              name slow fast
-              (slow /. Float.max 1e-9 fast)
-              plan
-              (slow /. Float.max 1e-9 plan))
+              "    {\"name\": \"%s\", \"seed_ms\": %.3f, \"fast_ms\": %.3f, \
+               \"speedup\": %.2f}"
+              name seed fast
+              (seed /. Float.max 1e-9 fast))
           !e9_results));
   output_string oc "\n  ]\n}\n";
   close_out oc;
@@ -805,32 +806,26 @@ let e9_docgen_tpl =
    </section></for></document>"
 
 let e9 () =
-  section "E9 - evaluator fast path: doc-order keys, hash set ops, compiled plans";
-  Printf.printf "  %-24s %12s %12s %12s %10s %10s\n" "query" "seed ms" "fast ms" "plan ms"
-    "fast x" "plan x";
+  section "E9 - evaluator fast path: the plan executor against the seed reference";
+  Printf.printf "  %-24s %12s %12s %10s\n" "query" "seed ms" "fast ms" "fast x";
+  let opts ?context_item mode = Xquery.Engine.Exec_opts.make ~mode ?context_item () in
   let bench ?(k = 2) name q doc =
     let compiled = Xquery.Engine.compile q in
-    let opts mode =
-      Xquery.Engine.Exec_opts.make ~mode ~context_item:(Xquery.Value.Node doc) ()
-    in
-    let r_slow = ref [] and r_fast = ref [] and r_plan = ref [] in
-    let slow =
+    let context_item = Xquery.Value.Node doc in
+    let r_seed = ref [] and r_fast = ref [] in
+    let seed =
       best_ms ~k (fun () ->
-          r_slow := Xquery.Engine.run ~opts:(opts Xquery.Engine.Exec_opts.Seed) compiled)
+          r_seed :=
+            Xquery.Engine.run ~opts:(opts ~context_item Xquery.Engine.Exec_opts.Seed) compiled)
     in
     let fast =
       best_ms ~k (fun () ->
-          r_fast := Xquery.Engine.run ~opts:(opts Xquery.Engine.Exec_opts.Fast) compiled)
-    in
-    let plan =
-      best_ms ~k (fun () ->
-          r_plan := Xquery.Engine.run ~opts:(opts Xquery.Engine.Exec_opts.Plan) compiled)
+          r_fast :=
+            Xquery.Engine.run ~opts:(opts ~context_item Xquery.Engine.Exec_opts.Fast) compiled)
     in
     assert (
-      Xquery.Value.to_display_string !r_slow = Xquery.Value.to_display_string !r_fast);
-    assert (
-      Xquery.Value.to_display_string !r_slow = Xquery.Value.to_display_string !r_plan);
-    e9_record name slow fast plan
+      Xquery.Value.to_display_string !r_seed = Xquery.Value.to_display_string !r_fast);
+    e9_record name seed fast
   in
   let deep = e9_deep_doc (if quick then 300 else 1500) in
   let wide = e9_wide_doc (if quick then 60 else 150) (if quick then 8 else 10) in
@@ -855,44 +850,31 @@ let e9 () =
   let compiled_core = Docgen.Xq_engine.compile () in
   let toc mode =
     Xml_base.Serialize.to_string
-      (Docgen.Xq_engine.generate_spec ~compiled:compiled_core
-         ~opts:(Xquery.Engine.Exec_opts.make ~mode ())
-         model ~template:tpl)
+      (Docgen.Xq_engine.generate_spec ~compiled:compiled_core ~opts:(opts mode) model
+         ~template:tpl)
         .Spec.document
   in
-  let r_slow = ref "" and r_fast = ref "" and r_plan = ref "" in
-  let t_slow = best_ms ~k:1 (fun () -> r_slow := toc Xquery.Engine.Exec_opts.Seed) in
+  let r_seed = ref "" and r_fast = ref "" in
+  let t_seed = best_ms ~k:1 (fun () -> r_seed := toc Xquery.Engine.Exec_opts.Seed) in
   let t_fast = best_ms ~k:1 (fun () -> r_fast := toc Xquery.Engine.Exec_opts.Fast) in
-  let t_plan = best_ms ~k:1 (fun () -> r_plan := toc Xquery.Engine.Exec_opts.Plan) in
-  assert (!r_slow = !r_fast);
-  assert (!r_slow = !r_plan);
-  e9_record "toc_generation" t_slow t_fast t_plan;
+  assert (!r_seed = !r_fast);
+  e9_record "toc_generation" t_seed t_fast;
   Printf.printf "  (toc model: %d model nodes, %d exported XML nodes)\n"
     (M.node_count model) export_nodes;
+  let arm name q doc mode =
+    Test.make ~name
+      (Staged.stage
+         (let c = Xquery.Engine.compile q in
+          let opts = opts ~context_item:(Xquery.Value.Node doc) mode in
+          fun () -> ignore (Xquery.Engine.run ~opts c)))
+  in
+  let union_q = "count((//a | //b) except //b)" and exists_q = "exists(//needle)" in
   run_bechamel_group ~name:"e9_eval_fast_path"
     [
-      Test.make ~name:"union_seed"
-        (Staged.stage
-           (let c = Xquery.Engine.compile "count((//a | //b) except //b)" in
-            let ctx = Xquery.Value.Node wide in
-            fun () ->
-              ignore (Xquery.Engine.execute ~fast_eval:false ~context_item:ctx c)));
-      Test.make ~name:"union_fast"
-        (Staged.stage
-           (let c = Xquery.Engine.compile "count((//a | //b) except //b)" in
-            let ctx = Xquery.Value.Node wide in
-            fun () -> ignore (Xquery.Engine.execute ~fast_eval:true ~context_item:ctx c)));
-      Test.make ~name:"exists_seed"
-        (Staged.stage
-           (let c = Xquery.Engine.compile "exists(//needle)" in
-            let ctx = Xquery.Value.Node deep in
-            fun () ->
-              ignore (Xquery.Engine.execute ~fast_eval:false ~context_item:ctx c)));
-      Test.make ~name:"exists_fast"
-        (Staged.stage
-           (let c = Xquery.Engine.compile "exists(//needle)" in
-            let ctx = Xquery.Value.Node deep in
-            fun () -> ignore (Xquery.Engine.execute ~fast_eval:true ~context_item:ctx c)));
+      arm "union_seed" union_q wide Xquery.Engine.Exec_opts.Seed;
+      arm "union_fast" union_q wide Xquery.Engine.Exec_opts.Fast;
+      arm "exists_seed" exists_q deep Xquery.Engine.Exec_opts.Seed;
+      arm "exists_fast" exists_q deep Xquery.Engine.Exec_opts.Fast;
     ]
 
 (* ---------------------------------------------------------------- *)

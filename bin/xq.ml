@@ -4,11 +4,11 @@
      dune exec bin/xq.exe -- -e 'for $i in 1 to 5 return $i * $i'
      dune exec bin/xq.exe -- -e 'count(//book)' --input library.xml
      dune exec bin/xq.exe -- --file query.xq --input doc.xml --galax
-     dune exec bin/xq.exe -- -e '//section/title' -i doc.xml --plan --explain *)
+     dune exec bin/xq.exe -- -e '//section/title' -i doc.xml --explain *)
 
 open Cmdliner
 
-let run_query expr file input galax typed no_optimize mode plan_flag explain time fuel
+let run_query expr file input galax typed no_optimize mode explain time fuel
     max_depth max_nodes deadline =
   let source =
     match (expr, file) with
@@ -22,10 +22,7 @@ let run_query expr file input galax typed no_optimize mode plan_flag explain tim
       with Sys_error m -> Error m)
     | _ -> Error "provide exactly one of -e EXPR or --file QUERY.xq"
   in
-  let mode =
-    if plan_flag then Ok Xquery.Engine.Exec_opts.Plan
-    else Xquery.Engine.Exec_opts.mode_of_string mode
-  in
+  let mode = Xquery.Engine.Exec_opts.mode_of_string mode in
   match (source, mode) with
   | Error m, _ | _, Error m ->
     prerr_endline ("xq: " ^ m);
@@ -87,7 +84,7 @@ let run_query expr file input galax typed no_optimize mode plan_flag explain tim
       let compiled =
         Xquery.Engine.make_compiled ?opt_stats ~compat ~typed_mode:typed program
       in
-      (if mode = Xquery.Engine.Exec_opts.Plan then
+      (if mode = Xquery.Engine.Exec_opts.Fast then
          timed compile_s (fun () -> ignore (Xquery.Engine.plan_of compiled)));
       let opts = Xquery.Engine.Exec_opts.make ~mode ?limits ?context_item () in
       timed eval_s (fun () -> Xquery.Engine.run ~opts compiled)
@@ -144,21 +141,16 @@ let mode =
     value & opt string "fast"
     & info [ "mode" ] ~docv:"MODE"
         ~doc:
-          "Execution mode: $(b,seed) (reference algorithms), $(b,fast) (cached-key \
-           interpreter), or $(b,plan) (compile to the physical plan).")
-
-let plan_flag =
-  Arg.(
-    value & flag
-    & info [ "plan" ] ~doc:"Shorthand for $(b,--mode plan): run the compiled plan.")
+          "Execution mode: $(b,seed) (the reference tree-walker) or $(b,fast) (compile \
+           to the physical plan and run the plan executor).")
 
 let explain =
   Arg.(
     value & flag
     & info [ "explain" ]
         ~doc:
-          "Print what would run instead of running it: the optimized program, or with \
-           $(b,--plan) the rendered physical plan.")
+          "Print what would run instead of running it: the optimized program, then \
+           (unless $(b,--mode seed)) the physical plan it lowers to.")
 
 let time =
   Arg.(
@@ -204,6 +196,6 @@ let cmd =
     (Cmd.info "xq" ~doc)
     Term.(
       const run_query $ expr $ file $ input $ galax $ typed $ no_optimize $ mode
-      $ plan_flag $ explain $ time $ fuel $ max_depth $ max_nodes $ deadline)
+      $ explain $ time $ fuel $ max_depth $ max_nodes $ deadline)
 
 let () = exit (Cmd.eval' cmd)

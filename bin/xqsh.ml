@@ -9,7 +9,7 @@
      xq> count(//book)
      4
      xq> :let cheap //book[number(price) < 20]
-     xq> :set mode plan
+     xq> :set mode seed
      xq> :explain let $d := trace(1, 'x') return 2
 
    Queries run through the Service layer, not the bare engine: repeated
@@ -48,9 +48,9 @@ let help () =
   :let NAME QUERY   bind $NAME to the query's result
   :vars             list bound variables
   :set galax|typed|optimize on|off
-  :set mode seed|fast|plan
-  :explain QUERY    show what would run: the optimized program, or the
-                    physical plan when the mode is plan
+  :set mode seed|fast
+  :explain QUERY    show what would run: the optimized program, then
+                    the physical plan unless the mode is seed
   :counters         service counters for this session (caches, plans)
   :help             this text
   :quit             leave

@@ -61,8 +61,8 @@ let () =
   let show_trace compat label =
     let traced = ref 0 in
     let result =
-      E.execute
-        ~trace_out:(fun _ -> incr traced)
+      E.run
+        ~opts:(E.Exec_opts.make ~trace_out:(fun _ -> incr traced) ())
         (E.compile ~compat "let $x := 1 let $dummy := trace($x, 'x=') return $x + 1")
     in
     Printf.printf "  %-28s result=%s, trace lines printed=%d\n" label
@@ -75,8 +75,8 @@ let () =
   show_trace Lopsided.Xq.Context.galax_compat "  insinuated (see below):";
   let traced = ref 0 in
   ignore
-    (E.execute
-       ~trace_out:(fun _ -> incr traced)
+    (E.run
+       ~opts:(E.Exec_opts.make ~trace_out:(fun _ -> incr traced) ())
        (E.compile ~compat:Lopsided.Xq.Context.galax_compat
           "let $x := trace(1, 'x=') return $x + 1"));
   Printf.printf "  %-28s trace lines printed=%d\n\n" "let $x := trace(1, 'x=')" !traced;

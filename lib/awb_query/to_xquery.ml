@@ -122,8 +122,13 @@ let eval_on_export ?focus ?limits ?fast_eval model ~export_root q =
         export_root
       |> Xquery.Value.of_nodes
   in
+  let mode =
+    Option.map
+      (fun fast -> if fast then Xquery.Engine.Exec_opts.Fast else Xquery.Engine.Exec_opts.Seed)
+      fast_eval
+  in
   let result =
-    Xquery.Engine.eval_query ?limits ?fast_eval
+    Xquery.Engine.eval_query ?limits ?mode
       ~vars:[ ("model", Xquery.Value.of_node export_root); ("focus", focus_seq) ]
       src
   in

@@ -35,9 +35,10 @@ let kind_of_string : string -> (kind, string) result = function
     entry — it never escapes as an exception. [Exec_opts.Skeleton] skips
     the optional enrichment phases (TOC/omissions regeneration, marker
     patching) so a brownout can trade completeness for latency; engines
-    without those phases accept and ignore it. Engines that do not run
-    queries through the XQuery engine map [Seed] to their reference
-    algorithms and any other mode to their fast paths. *)
+    without those phases accept and ignore it. [Seed] pins the
+    reference algorithms and [Fast] the fast ones; calculus queries that
+    go through the XQuery engine run in the same mode ([Fast]: the plan
+    executor). *)
 module type S = sig
   val name : string
 
@@ -55,7 +56,7 @@ end
 let fast_eval_of_opts (opts : Xquery.Engine.Exec_opts.t) =
   match opts.Xquery.Engine.Exec_opts.mode with
   | Xquery.Engine.Exec_opts.Seed -> false
-  | Xquery.Engine.Exec_opts.Fast | Xquery.Engine.Exec_opts.Plan -> true
+  | Xquery.Engine.Exec_opts.Fast -> true
 
 let spec_level_of_opts (opts : Xquery.Engine.Exec_opts.t) =
   match opts.Xquery.Engine.Exec_opts.level with
@@ -65,9 +66,8 @@ let spec_level_of_opts (opts : Xquery.Engine.Exec_opts.t) =
 let opts_of_legacy ?limits ?fast_eval ?level () =
   let mode =
     match fast_eval with
-    | Some true -> Xquery.Engine.Exec_opts.Fast
     | Some false -> Xquery.Engine.Exec_opts.Seed
-    | None -> Xquery.Engine.Exec_opts.ambient_mode ()
+    | Some true | None -> Xquery.Engine.Exec_opts.Fast
   in
   let level =
     match level with

@@ -115,11 +115,10 @@ type response = { request_id : string; result : (output, error) result }
 (* ------------------------------------------------------------------ *)
 
 type config = {
-  domains : int; (* default width of run_batch *)
-  mode : Xquery.Engine.Exec_opts.mode;
-      (* execution mode for XQuery-backed work: Fast (default) or Plan
-         (compile-to-plan executor); Seed pins the reference algorithms.
-         A fast-path fault still degrades the failing request to Seed. *)
+  domains : int;
+      (* default width of run_batch, and of plan loop fragments: XQuery-
+         backed work runs Fast (the plan executor), and a fast-path fault
+         degrades the failing request to one Seed re-run *)
   cache_capacity : int; (* entries per artifact cache; 0 disables caching *)
   default_deadline : float option; (* seconds; a per-request deadline wins *)
   fuel : int option; (* evaluator step budget per attempt *)
@@ -138,7 +137,6 @@ type config = {
 let default_config =
   {
     domains = 1;
-    mode = Xquery.Engine.Exec_opts.Fast;
     cache_capacity = 128;
     default_deadline = None;
     fuel = None;
@@ -414,10 +412,17 @@ let reload t =
 
 (* Worker pool for the plan executor's data-parallel fragments: wired up
    only when the service owns more than one domain and the work runs in
-   Plan mode. The executor decides per-fragment whether the loop is safe
-   and big enough to split; each invocation here is one such fragment. *)
+   Fast mode, and only from the main domain: a run_batch worker already
+   holds one of the service's domains, and fanning out again from there
+   would multiply them. The executor decides per-fragment whether the
+   loop is safe and big enough to split; each invocation here is one
+   such fragment. *)
 let plan_pool t ~mode =
-  if t.config.domains > 1 && mode = Xquery.Engine.Exec_opts.Plan then
+  if
+    t.config.domains > 1
+    && mode = Xquery.Engine.Exec_opts.Fast
+    && Domain.is_main_domain ()
+  then
     Some
       (fun (tasks : (unit -> unit) array) ->
         with_lock t (fun () ->
@@ -425,7 +430,7 @@ let plan_pool t ~mode =
         ignore (Pool.run ~domains:t.config.domains tasks))
   else None
 
-(* Plan-cache accounting for one Plan-mode run of [compiled]: the plan is
+(* Plan-cache accounting for one Fast-mode run of [compiled]: the plan is
    memoized on the compiled record, so "already lowered" is a cache hit
    in the same sense as the artifact LRUs. *)
 let note_plan_run t compiled =
@@ -735,7 +740,7 @@ let execute t ~t0 (req : request) : response * timings =
         timed gen_s
           (fun m -> Generation_failed { code = ""; message = m; location = "" })
           (fun () ->
-            let run_once ~fast_eval =
+            let run_once ~mode =
               let limits = limits_for () in
               let token =
                 with_lock t (fun () ->
@@ -747,15 +752,6 @@ let execute t ~t0 (req : request) : response * timings =
                     t.inflight_next <- id + 1;
                     Hashtbl.replace t.inflight id limits;
                     id)
-              in
-              (* The seed re-run pins Seed; otherwise the config mode
-                 decides (Fast by default, Plan for the compiled
-                 executor). *)
-              let mode =
-                match fast_eval with
-                | Some false -> Xquery.Engine.Exec_opts.Seed
-                | Some true -> Xquery.Engine.Exec_opts.Fast
-                | None -> t.config.mode
               in
               let level =
                 match req.level with
@@ -772,7 +768,7 @@ let execute t ~t0 (req : request) : response * timings =
                   match req.engine with
                   | `Xq ->
                     let core = xq_core t in
-                    if mode = Xquery.Engine.Exec_opts.Plan then note_plan_run t core;
+                    if mode = Xquery.Engine.Exec_opts.Fast then note_plan_run t core;
                     Docgen.Xq_engine.generate_spec ?backend:req.backend ~compiled:core
                       ~opts model ~template
                   | (`Host | `Functional) as engine ->
@@ -790,7 +786,10 @@ let execute t ~t0 (req : request) : response * timings =
                   raise (Fault.Transient "injected transient generation failure");
                 if inj_fast && not on_seed then
                   raise (Fault.Fast_path_fault "injected fast-path fault");
-                run_once ~fast_eval:(if on_seed then Some false else None)
+                run_once
+                  ~mode:
+                    (if on_seed then Xquery.Engine.Exec_opts.Seed
+                     else Xquery.Engine.Exec_opts.Fast)
               with
               | result -> result
               | exception (Fail _ as e) -> raise e
@@ -941,7 +940,7 @@ let run_batch ?domains t (reqs : request list) : response list =
 let run_query t ?(compat = Xquery.Context.default_compat) ?(typed_mode = false)
     ?(optimize = true) ?context_item ?(vars = []) ?mode ?doc_resolver src :
     (Xquery.Value.sequence, error) result =
-  let mode = Option.value mode ~default:t.config.mode in
+  let mode = Option.value mode ~default:Xquery.Engine.Exec_opts.Fast in
   let t0 = now () in
   let qkey = Some ("q:" ^ digest src) in
   let deadline = t.config.default_deadline in
@@ -997,7 +996,7 @@ let run_query t ?(compat = Xquery.Context.default_compat) ?(typed_mode = false)
         Fun.protect
           ~finally:(fun () -> with_lock t (fun () -> Hashtbl.remove t.inflight token))
           (fun () ->
-            if mode = Xquery.Engine.Exec_opts.Plan then note_plan_run t compiled;
+            if mode = Xquery.Engine.Exec_opts.Fast then note_plan_run t compiled;
             let opts =
               Xquery.Engine.Exec_opts.make ~mode ~limits ?context_item ~vars
                 ?doc_resolver ?pool:(plan_pool t ~mode) ()
@@ -1273,7 +1272,7 @@ let counters_to_prometheus ?(labels = []) (c : counters) =
   int_sample "lopsided_service_plan_compiles_total"
     "Physical plans lowered (plan-cache misses)." c.plan_compiles;
   int_sample "lopsided_service_plan_hits_total"
-    "Plan-mode runs served by an already-lowered plan." c.plan_hits;
+    "Fast-mode runs served by an already-lowered plan." c.plan_hits;
   int_sample "lopsided_service_plan_execs_total" "Plan-executor runs started." c.plan_execs;
   int_sample "lopsided_service_plan_parallel_fragments_total"
     "Plan loop fragments fanned across domains." c.plan_parallel_fragments;

@@ -107,14 +107,12 @@ type response = { request_id : string; result : (output, error) result }
 (** {1 The service} *)
 
 type config = {
-  domains : int;  (** default width of {!run_batch}; 1 = serial *)
-  mode : Xquery.Engine.Exec_opts.mode;
-      (** execution mode for XQuery-backed work: [Fast] (default) or
-          [Plan] for the compile-to-plan executor; [Seed] pins the
-          reference algorithms. With [Plan] and [domains > 1], large
-          plan loop fragments fan out across the domain pool. A
-          fast-path fault still degrades the failing request to one
-          [Seed] re-run, whatever the configured mode. *)
+  domains : int;
+      (** default width of {!run_batch}; 1 = serial. XQuery-backed work
+          runs in [Fast] mode (the plan executor); with [domains > 1],
+          large plan loop fragments started from the main domain fan out
+          across the domain pool. A fast-path fault degrades the failing
+          request to one [Seed] re-run. *)
   cache_capacity : int;  (** entries per artifact cache; 0 disables caching *)
   default_deadline : float option;  (** seconds; a per-request deadline wins *)
   fuel : int option;  (** evaluator step budget per generation attempt *)
@@ -178,8 +176,8 @@ val run_query :
     flags), the configured resource budgets and deadline wired into the
     evaluator, in-flight registration (so {!preempt_inflight} reaches
     it), per-query-hash quarantine, and one seed-evaluator re-run on an
-    internal fault. [mode] overrides the configured execution mode for
-    this call; [Plan] runs count against the [plan_*] counters.
+    internal fault. [mode] defaults to [Fast]; [Fast] runs count
+    against the [plan_*] counters.
     [doc_resolver] answers [doc()]/[fn:doc] calls (the server wires the
     persistent collection store in here). This is the shell's ([xqsh])
     path into the engine. *)
@@ -278,7 +276,7 @@ type counters = {
   result_misses : int;
   result_stores : int;  (** completed generations stored in the result cache *)
   plan_compiles : int;  (** physical plans lowered (plan-cache misses) *)
-  plan_hits : int;  (** Plan-mode runs served by an already-lowered plan *)
+  plan_hits : int;  (** Fast-mode runs served by an already-lowered plan *)
   plan_execs : int;  (** plan-executor runs started *)
   plan_parallel_fragments : int;
       (** plan loop fragments fanned out across the domain pool *)

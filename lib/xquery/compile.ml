@@ -20,7 +20,11 @@
      is marked parallel-safe when it provably never calls fn:trace or
      fn:doc (the only effectful builtins), transitively through user
      functions;
-   - exists/empty over a step pipeline become early-exit probes. *)
+   - exists/empty over a streamable operand become early-exit probes,
+     and existential comparisons and quantifiers over one are counted
+     as early exits too (the executor streams them; see [streams]);
+   - fn:distinct-values binds the hashed implementation, where the
+     reference evaluator keeps the pairwise scan. *)
 
 module A = Ast
 module P = Plan
@@ -192,7 +196,11 @@ let rec as_pred_step (e : A.expr) : (A.axis * A.node_test * A.expr list) option 
 let step_flags (sorted, indep) (axis : A.axis) =
   match axis with
   | A.Self -> (sorted, indep)
-  | A.Child | A.Attribute_axis -> if sorted && indep then (true, true) else (false, false)
+  | A.Child -> if sorted && indep then (true, true) else (false, false)
+  | A.Attribute_axis ->
+    (* a node's attributes sort between it and its first child, so they
+       stay in order even over nested inputs, and they are leaves *)
+    if sorted then (true, true) else (false, false)
   | A.Descendant | A.Descendant_or_self ->
     if sorted && indep then (true, false) else (false, false)
   | _ -> (false, false)
@@ -201,6 +209,24 @@ let sorted_if_single_of (steps : P.step array) =
   fst
     (Array.fold_left (fun flags (s : P.step) -> step_flags flags s.axis) (true, true) steps)
 
+(* //x is descendant-or-self::node()/child::x. As one descendant::x step
+   the walk visits each node once instead of twice, and from a singleton
+   base the output is already in document order. Sound because fused
+   predicates are never positional. *)
+let rec fold_descendant (steps : P.step list) =
+  match steps with
+  | { P.axis = A.Descendant_or_self; test = A.Kind_node; preds = [||] }
+    :: ({ P.axis = A.Child; _ } as c) :: rest ->
+    { c with P.axis = A.Descendant } :: fold_descendant rest
+  | s :: rest -> s :: fold_descendant rest
+  | [] -> []
+
+(* A path pipeline (never raw: the path's final sort makes intermediate
+   order unobservable). *)
+let pipeline base (steps : P.step array) =
+  let steps = Array.of_list (fold_descendant (Array.to_list steps)) in
+  P.P_steps { base; steps; sorted_if_single = sorted_if_single_of steps; raw = false }
+
 (* Axes that can deliver the same node twice over a duplicate-free input
    (shared parents, overlapping subtrees, overlapping sibling tails).
    The executor re-sorts after these so chained walks stay near-linear. *)
@@ -208,6 +234,56 @@ let dup_creating (axis : A.axis) =
   match axis with
   | A.Child | A.Attribute_axis | A.Self -> false
   | _ -> true
+
+(* ------------------------------------------------------------------ *)
+(* Streamability                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Does feeding [p]'s items one at a time to a consumer that may stop
+   early save real work? Subtree walks, ranges and tight loops can be cut
+   short; child/attribute steps over already-built lists cannot, and for
+   those the materialized list wins. This is the reference tree-walker's
+   former [lazy_pays] test, restated over plans. The executor streams
+   only into consumers that stop at a witness: the left operand of an
+   existential comparison, a quantifier's source, and emptiness and EBV
+   probes (for EBV only where [ebv_streams] also holds). *)
+let rec streams (p : P.t) =
+  match p with
+  | P.P_steps { base; steps; _ } ->
+    Array.exists
+      (fun (s : P.step) -> s.axis = A.Descendant || s.axis = A.Descendant_or_self)
+      steps
+    || streams base
+  | P.P_seq parts -> Array.exists streams parts
+  | P.P_if (_, t, f) -> streams t || streams f
+  | P.P_range _ | P.P_for_loop _ -> true
+  | _ -> false
+
+(* Every item [p] can produce is a node. Conservative. *)
+let rec nodes_only (p : P.t) =
+  match p with
+  | P.P_steps _ | P.P_root | P.P_set_op _ | P.P_elem _ | P.P_attr _ | P.P_text _
+  | P.P_doc _ | P.P_comment _ ->
+    true
+  | P.P_path (_, b) | P.P_filter (b, _) | P.P_filter_pos (b, _) -> nodes_only b
+  | P.P_seq parts -> Array.for_all nodes_only parts
+  | P.P_if (_, t, f) -> nodes_only t && nodes_only f
+  | P.P_for_loop { body; _ } -> nodes_only body
+  | P.P_flwor (_, _, ret) -> nodes_only ret
+  | _ -> false
+
+(* May the effective boolean value of [p] be taken from its stream? EBV
+   reads at most two items, and multiplicity is observable for atomics —
+   a stream that repeats an atomic raises FORG0006 where the deduplicated
+   sequence has a value — so only node-only streams (where EBV is
+   non-emptiness) and ranges (which stream exactly their items) qualify. *)
+let ebv_streams (p : P.t) =
+  let rec safe = function
+    | P.P_range _ -> true
+    | P.P_if (_, t, f) -> safe t && safe f
+    | p -> nodes_only p
+  in
+  streams p && safe p
 
 (* ------------------------------------------------------------------ *)
 (* Expression lowering                                                 *)
@@ -231,7 +307,9 @@ let rec comp cenv (scope : scope) (e : A.expr) : P.t =
   | A.E_arith (op, a, b) -> P.P_arith (op, comp cenv scope a, comp cenv scope b)
   | A.E_neg a -> P.P_neg (comp cenv scope a)
   | A.E_general_cmp (op, a, b) ->
-    P.P_general_cmp (op, comp cenv scope a, comp cenv scope b)
+    let ca = comp cenv scope a in
+    if streams ca then cenv.stats.P.early_exits <- cenv.stats.P.early_exits + 1;
+    P.P_general_cmp (op, ca, comp cenv scope b)
   | A.E_value_cmp (op, a, b) -> P.P_value_cmp (op, comp cenv scope a, comp cenv scope b)
   | A.E_node_cmp (op, a, b) -> P.P_node_cmp (op, comp cenv scope a, comp cenv scope b)
   | A.E_and (a, b) -> P.P_and (comp cenv scope a, comp cenv scope b)
@@ -266,8 +344,7 @@ let rec comp cenv (scope : scope) (e : A.expr) : P.t =
           | _ -> (ca, steps)
         in
         cenv.stats.P.steps_fused <- cenv.stats.P.steps_fused + 1;
-        P.P_steps
-          { base; steps; sorted_if_single = sorted_if_single_of steps; raw = false }
+        pipeline base steps
       | crhs -> P.P_path (ca, crhs)))
   | A.E_filter (base, A.E_int k) -> P.P_filter_pos (comp cenv scope base, k)
   | A.E_filter (base, pred) -> (
@@ -290,6 +367,7 @@ let rec comp cenv (scope : scope) (e : A.expr) : P.t =
       List.fold_left
         (fun (scope, acc) (var, src) ->
           let csrc = comp cenv scope src in
+          if streams csrc then cenv.stats.P.early_exits <- cenv.stats.P.early_exits + 1;
           let slot = fresh cenv in
           ((var, slot) :: scope, (slot, var, csrc) :: acc))
         (scope, []) bindings
@@ -351,19 +429,13 @@ and comp_name cenv scope = function
   | A.Computed_name e -> P.PN_computed (comp cenv scope e)
 
 and mk_steps cenv base (step : P.step) : P.t =
-  (* Path semantics: one final document-order pass, never raw — a raw
-     (bare-step) base loses its flag here because the path's final sort
+  (* A raw (bare-step) base loses its flag here: the path's final sort
      makes the intermediate order unobservable. *)
   match base with
   | P.P_steps { base = b; steps; _ } ->
     cenv.stats.P.steps_fused <- cenv.stats.P.steps_fused + 1;
-    let steps = Array.append steps [| step |] in
-    P.P_steps
-      { base = b; steps; sorted_if_single = sorted_if_single_of steps; raw = false }
-  | _ ->
-    let steps = [| step |] in
-    P.P_steps
-      { base; steps; sorted_if_single = sorted_if_single_of steps; raw = false }
+    pipeline b (Array.append steps [| step |])
+  | _ -> pipeline base [| step |]
 
 and comp_call cenv scope name args : P.t =
   let arity = List.length args in
@@ -377,25 +449,28 @@ and comp_call cenv scope name args : P.t =
     match Functions.find name arity with
     | None -> P.P_call_unknown (name, arity)
     | Some f -> (
-      (* exists/empty/boolean/not become plan operators; over a step
-         pipeline the emptiness probes get an early-exit walk. Only
-         genuine builtins land here — a prolog redefinition was caught
-         above, mirroring the interpreter's lookup precedence. *)
+      (* exists/empty/boolean/not become plan operators; over a
+         streamable operand the emptiness probes get an early-exit walk.
+         Only genuine builtins land here — a prolog redefinition was
+         caught above, mirroring the interpreter's lookup precedence. *)
+      let probe arg =
+        let p = comp cenv scope arg in
+        let early = match p with P.P_steps _ -> true | _ -> streams p in
+        if early then cenv.stats.P.early_exits <- cenv.stats.P.early_exits + 1;
+        (p, early)
+      in
       match (base, args) with
       | "exists", [ arg ] ->
-        let p = comp cenv scope arg in
-        let early = match p with P.P_steps _ -> true | _ -> false in
-        if early then cenv.stats.P.early_exits <- cenv.stats.P.early_exits + 1;
+        let p, early = probe arg in
         P.P_exists (p, early)
       | "empty", [ arg ] ->
-        let p = comp cenv scope arg in
-        let early = match p with P.P_steps _ -> true | _ -> false in
-        if early then cenv.stats.P.early_exits <- cenv.stats.P.early_exits + 1;
+        let p, early = probe arg in
         P.P_empty (p, early)
       | "boolean", [ arg ] -> P.P_ebv (comp cenv scope arg)
       | "not", [ arg ] -> P.P_not (comp cenv scope arg)
       | _ ->
         cenv.stats.P.calls_resolved <- cenv.stats.P.calls_resolved + 1;
+        let f = if base = "distinct-values" then Functions.distinct_values_hashed else f in
         P.P_call_builtin (base, f, cargs ())))
 
 and comp_flwor cenv scope ({ clauses; order_by; return } : A.flwor) : P.t =

@@ -138,10 +138,6 @@ and env = {
   mutable trace_count : int;
   mutable doc_resolver : string -> Xml_base.Node.t option;
   mutable global_vars : Value.sequence StringMap.t;
-  mutable fast_eval : bool;
-      (* true: the evaluator may use the cached-key/lazy fast paths; false
-         pins every operation to the seed algorithms (benchmark baseline,
-         property-test oracle) *)
   mutable limits : limits;
       (* resource budgets for this evaluation; fresh unlimited record per
          env so concurrent evaluations never share counters *)
@@ -155,8 +151,6 @@ and dyn = {
   ctx_size : int;
 }
 
-let fast_eval_default = ref true
-
 let make_env ?(compat = default_compat) ?(typed_mode = false) ?limits () =
   {
     functions = Hashtbl.create 97;
@@ -166,7 +160,6 @@ let make_env ?(compat = default_compat) ?(typed_mode = false) ?limits () =
     trace_count = 0;
     doc_resolver = (fun _ -> None);
     global_vars = StringMap.empty;
-    fast_eval = !fast_eval_default;
     limits = (match limits with Some l -> l | None -> unlimited ());
   }
 

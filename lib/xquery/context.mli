@@ -96,10 +96,6 @@ and env = {
   mutable trace_count : int;
   mutable doc_resolver : string -> Xml_base.Node.t option;
   mutable global_vars : Value.sequence StringMap.t;
-  mutable fast_eval : bool;
-      (** true: the evaluator may use the cached-key/lazy fast paths;
-          false pins every operation to the seed algorithms (benchmark
-          baseline, property-test oracle) *)
   mutable limits : limits;
       (** resource budgets for this evaluation; a fresh unlimited record
           per env, so concurrent evaluations never share counters *)
@@ -112,11 +108,6 @@ and dyn = {
   ctx_pos : int;  (** 1-based *)
   ctx_size : int;
 }
-
-val fast_eval_default : bool ref
-(** Initial value of [env.fast_eval] for newly created environments
-    (default [true]). Lets embedders — the docgen service, the benchmarks
-    — flip whole runs without threading a parameter everywhere. *)
 
 val make_env : ?compat:compat -> ?typed_mode:bool -> ?limits:limits -> unit -> env
 val make_dyn : env -> dyn

@@ -1,5 +1,5 @@
 module Exec_opts = struct
-  type mode = Seed | Fast | Plan
+  type mode = Seed | Fast
   type level = Full | Skeleton
 
   type t = {
@@ -31,18 +31,12 @@ module Exec_opts = struct
       ?(vars = []) ?trace_out ?doc_resolver ?pool () =
     { mode; limits; level; explain; context_item; vars; trace_out; doc_resolver; pool }
 
-  let mode_name = function Seed -> "seed" | Fast -> "fast" | Plan -> "plan"
+  let mode_name = function Seed -> "seed" | Fast -> "fast"
 
   let mode_of_string = function
     | "seed" -> Ok Seed
     | "fast" -> Ok Fast
-    | "plan" -> Ok Plan
-    | s -> Error (Printf.sprintf "unknown mode %S (expected seed|fast|plan)" s)
-
-  (* The mode the legacy [?fast_eval] entry points resolve to when the
-     caller passed nothing: the ambient default flag, read at call time
-     so scoped flips of [Context.fast_eval_default] keep working. *)
-  let ambient_mode () = if !Context.fast_eval_default then Fast else Seed
+    | s -> Error (Printf.sprintf "unknown mode %S (expected seed|fast)" s)
 end
 
 type compiled = {
@@ -94,13 +88,12 @@ let explain compiled ~(mode : Exec_opts.mode) =
          s.Optimizer.constants_folded s.Optimizer.count_cmp_rewrites
          s.Optimizer.paths_hoisted)
   | None -> Buffer.add_string b "(: optimizer: off :)\n");
-  (match mode with
-  | Exec_opts.Plan -> Buffer.add_string b (Plan.render_program (plan_of compiled))
-  | Exec_opts.Seed | Exec_opts.Fast ->
-    Buffer.add_string b (Unparse.program compiled.program));
+  Buffer.add_string b (Unparse.program compiled.program);
+  Buffer.add_char b '\n';
+  if mode = Exec_opts.Fast then Buffer.add_string b (Plan.render_program (plan_of compiled));
   Buffer.contents b
 
-(* The unified entry point: one options record, three execution modes. *)
+(* The unified entry point: one options record, two execution modes. *)
 let run ?(opts = Exec_opts.default) compiled =
   let env =
     Context.make_env ~compat:compiled.compat ~typed_mode:compiled.typed_mode
@@ -116,15 +109,10 @@ let run ?(opts = Exec_opts.default) compiled =
      Printexc.to_string. *)
   try
     match opts.Exec_opts.mode with
-    | Exec_opts.Plan ->
-      (* Plan-resolved builtins that branch on [fast_eval] (set algebra,
-         distinct-values) may use the fast, result-identical algorithms. *)
-      env.Context.fast_eval <- true;
-      let plan = plan_of compiled in
+    | Exec_opts.Fast ->
       Plan_exec.run env ?context_item:opts.Exec_opts.context_item
-        ~vars:opts.Exec_opts.vars ?pool:opts.Exec_opts.pool plan
-    | (Exec_opts.Seed | Exec_opts.Fast) as m ->
-      env.Context.fast_eval <- (m = Exec_opts.Fast);
+        ~vars:opts.Exec_opts.vars ?pool:opts.Exec_opts.pool (plan_of compiled)
+    | Exec_opts.Seed ->
       Functions.register_all env;
       Eval.run_program env ?context_item:opts.Exec_opts.context_item
         ~vars:opts.Exec_opts.vars compiled.program
@@ -132,39 +120,10 @@ let run ?(opts = Exec_opts.default) compiled =
   | Stack_overflow -> Errors.exhaust Errors.Stack ~limit:0 ~used:0
   | Out_of_memory -> Errors.exhaust Errors.Memory ~limit:0 ~used:0
 
-(* ------------------------------------------------------------------ *)
-(* Deprecated shims (one release): the labelled-argument entry points.  *)
-(* New code should build an [Exec_opts.t] and call [run].               *)
-(* ------------------------------------------------------------------ *)
-
-let opts_of_legacy ?context_item ?(vars = []) ?trace_out ?doc_resolver ?fast_eval ?limits
-    () =
-  let mode =
-    match fast_eval with
-    | Some true -> Exec_opts.Fast
-    | Some false -> Exec_opts.Seed
-    | None -> Exec_opts.ambient_mode ()
-  in
-  {
-    Exec_opts.default with
-    Exec_opts.mode;
-    limits;
-    context_item;
-    vars;
-    trace_out;
-    doc_resolver;
-  }
-
-let execute ?context_item ?vars ?trace_out ?doc_resolver ?fast_eval ?limits compiled =
-  run
-    ~opts:
-      (opts_of_legacy ?context_item ?vars ?trace_out ?doc_resolver ?fast_eval ?limits ())
-    compiled
-
+(* Deprecated shim: one-shot compile + run with labelled arguments. New
+   code should build an [Exec_opts.t] and call [run]. *)
 let eval_query ?compat ?typed_mode ?optimize ?static_check ?context_item ?vars ?trace_out
-    ?doc_resolver ?fast_eval ?limits src =
-  execute ?context_item ?vars ?trace_out ?doc_resolver ?fast_eval ?limits
+    ?doc_resolver ?mode ?limits src =
+  run
+    ~opts:(Exec_opts.make ?mode ?limits ?context_item ?vars ?trace_out ?doc_resolver ())
     (compile ?compat ?typed_mode ?optimize ?static_check src)
-
-let query_doc ?vars doc src =
-  eval_query ~context_item:(Value.Node doc) ?vars src

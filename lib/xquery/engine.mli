@@ -1,16 +1,16 @@
 (** The public face of the XQuery engine: compile and run queries.
 
     Execution goes through one request shape, {!Exec_opts.t}, and one
-    entry point, {!run}. The old labelled-argument entry points
-    ({!execute}, {!eval_query}) remain as deprecated shims for one
-    release and forward to {!run}. *)
+    entry point, {!run}. The old labelled-argument entry point
+    {!eval_query} remains as a deprecated shim that forwards to {!run}. *)
 
 module Exec_opts : sig
-  (** How to execute: [Seed] pins every operation to the reference
-      algorithms (benchmark baseline, property-test oracle); [Fast] is
-      the PR-2 cached-key/lazy interpreter; [Plan] compiles to the
-      physical plan and runs the plan executor. *)
-  type mode = Seed | Fast | Plan
+  (** How to execute: [Seed] runs the reference tree-walker with the
+      seed algorithms (benchmark baseline, property-test oracle); [Fast]
+      lowers the program to the physical plan and runs the plan
+      executor (cached document-order keys, hash set algebra, fused step
+      pipelines, early exit). *)
+  type mode = Seed | Fast
 
   (** Degradation level, threaded to the docgen layer: [Skeleton] asks
       generators for the cheap outline-only document. *)
@@ -49,11 +49,6 @@ module Exec_opts : sig
 
   val mode_name : mode -> string
   val mode_of_string : string -> (mode, string) result
-
-  val ambient_mode : unit -> mode
-  (** [Fast] or [Seed] per {!Context.fast_eval_default}, read at call
-      time — what the legacy [?fast_eval] shims resolve to when the
-      caller passed nothing. *)
 end
 
 type compiled = {
@@ -90,7 +85,7 @@ val compile :
 
 val run : ?opts:Exec_opts.t -> compiled -> Value.sequence
 (** Execute with the given options (default {!Exec_opts.default}).
-    [Plan] mode lowers the program on first use and memoizes the plan on
+    [Fast] mode lowers the program on first use and memoizes the plan on
     the [compiled] record, so repeated runs (service cache hits) skip
     compilation. Budget trips raise {!Errors.Resource_exhausted};
     [Stack_overflow]/[Out_of_memory] escaping execution are mapped into
@@ -105,20 +100,8 @@ val plan_cached : compiled -> bool
 
 val explain : compiled -> mode:Exec_opts.mode -> string
 (** Human-readable account of what would run: the optimizer's rewrite
-    stats, then the rendered physical plan ([Plan] mode) or the
-    optimized source ([Seed]/[Fast]). *)
-
-val execute :
-  ?context_item:Value.item ->
-  ?vars:(string * Value.sequence) list ->
-  ?trace_out:(string -> unit) ->
-  ?doc_resolver:(string -> Xml_base.Node.t option) ->
-  ?fast_eval:bool ->
-  ?limits:Context.limits ->
-  compiled ->
-  Value.sequence
-(** Deprecated shim for {!run} (kept one release): [fast_eval] maps to
-    [Seed]/[Fast] mode, defaulting to {!Exec_opts.ambient_mode}. *)
+    stats and the optimized source, then in [Fast] mode the physical plan
+    it lowers to. *)
 
 val eval_query :
   ?compat:Context.compat ->
@@ -129,12 +112,9 @@ val eval_query :
   ?vars:(string * Value.sequence) list ->
   ?trace_out:(string -> unit) ->
   ?doc_resolver:(string -> Xml_base.Node.t option) ->
-  ?fast_eval:bool ->
+  ?mode:Exec_opts.mode ->
   ?limits:Context.limits ->
   string ->
   Value.sequence
-(** Deprecated shim: one-shot compile + execute. *)
-
-val query_doc :
-  ?vars:(string * Value.sequence) list -> Xml_base.Node.t -> string -> Value.sequence
-(** Convenience: run a query with the given node as context item. *)
+(** Deprecated shim: one-shot {!compile} + {!run}; [mode] defaults to
+    [Fast]. *)

@@ -1,4 +1,8 @@
-(* The dynamic evaluator. *)
+(* The reference evaluator: a direct tree-walk over the AST with the seed
+   algorithms (path-walking document order, pairwise set algebra and
+   distinct-values, every operand materialized). It is the engine's Seed
+   mode and the oracle the plan executor (Fast mode) is tested against;
+   the XSLT engine embeds it. *)
 
 module N = Xml_base.Node
 open Ast
@@ -236,124 +240,6 @@ let assemble_element (env : Context.env) name (content : N.t list) : N.t =
   N.element name ~attrs:(List.rev !rattrs) ~children:(List.rev merged)
 
 (* ------------------------------------------------------------------ *)
-(* Lazy axis walks                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Pre-order descendants, one node forced at a time: each demanded
-   element does O(1) work, so consumers that stop early (exists, EBV,
-   "some … satisfies") never walk the rest of the subtree. Attributes are
-   excluded, matching [N.descendants]. *)
-let rec descendants_seq (n : N.t) : N.t Seq.t =
-  Seq.concat_map (fun k -> Seq.cons k (descendants_seq k)) (List.to_seq (N.children n))
-
-let axis_seq axis (n : N.t) : N.t Seq.t =
-  match axis with
-  | Descendant -> descendants_seq n
-  | Descendant_or_self -> Seq.cons n (descendants_seq n)
-  | _ -> List.to_seq (axis_nodes axis n)
-
-(* Does [e] syntactically call position() or last()? The lazy pipeline
-   does not maintain a correct focus position/size, so any step whose
-   right-hand side might observe them must fall back to the eager
-   evaluator. Over-approximates (a call inside a nested predicate counts
-   even though the predicate rebinds the focus), which only costs
-   laziness, never correctness. *)
-let rec uses_position_or_last (e : expr) : bool =
-  let u = uses_position_or_last in
-  match e with
-  | E_int _ | E_double _ | E_string _ | E_var _ | E_context_item | E_root | E_step _ ->
-    false
-  | E_call (name, args) -> (
-    match Context.normalize_fname name with
-    | "position" | "last" -> true
-    | _ -> List.exists u args)
-  | E_seq es | E_doc es -> List.exists u es
-  | E_range (a, b)
-  | E_arith (_, a, b)
-  | E_general_cmp (_, a, b)
-  | E_value_cmp (_, a, b)
-  | E_node_cmp (_, a, b)
-  | E_and (a, b)
-  | E_or (a, b)
-  | E_set_op (_, a, b)
-  | E_path (a, b)
-  | E_filter (a, b) ->
-    u a || u b
-  | E_neg a | E_cast (_, a) | E_castable (_, a) | E_instance_of (a, _)
-  | E_treat (a, _) | E_text a | E_comment_c a ->
-    u a
-  | E_if (c, t, f) -> u c || u t || u f
-  | E_quantified (_, bindings, body) ->
-    List.exists (fun (_, e) -> u e) bindings || u body
-  | E_typeswitch { operand; cases; default_var = _; default } ->
-    u operand || List.exists (fun c -> u c.case_return) cases || u default
-  | E_elem (name, content) | E_attr (name, content) ->
-    (match name with Computed_name e -> u e | Static_name _ -> false)
-    || List.exists u content
-  | E_flwor { clauses; order_by; return } ->
-    List.exists
-      (function
-        | For { source; _ } -> u source
-        | Let { value; _ } -> u value
-        | Where cond -> u cond)
-      clauses
-    || List.exists (fun s -> u s.key) order_by
-    || u return
-
-(* Syntactic guarantee that every item [e] can ever produce is a node.
-   Two decisions hang off this: whether the lazy layer's skipped per-step
-   dedup is unobservable through EBV (over nodes, EBV is an emptiness
-   test, so duplicates cannot turn a value into a FORG0006), and whether
-   a predicate streamed by [eval_lazy] is always an EBV predicate — a
-   node-only predicate can never evaluate to the numeric singleton that
-   would make it positional. Conservative: [false] means "don't know". *)
-let rec yields_nodes_only (e : expr) : bool =
-  match e with
-  | E_step _ | E_root | E_set_op _
-  | E_elem _ | E_attr _ | E_text _ | E_doc _ | E_comment_c _ ->
-    true
-  | E_path (_, b) | E_filter (b, _) -> yields_nodes_only b
-  | E_seq es -> List.for_all yields_nodes_only es
-  | E_if (_, t, f) -> yields_nodes_only t && yields_nodes_only f
-  | E_flwor { return; _ } -> yields_nodes_only return
-  | _ -> false
-
-(* Is the lazy stream for [e] guaranteed to give the same EBV as the
-   eager evaluator? The lazy pipeline skips the per-step document-order
-   dedup, so a path whose final step atomizes duplicate intermediate
-   nodes (//a//b/name() over nested <a>s) can present two equal atomics
-   where the eager evaluator saw one — raising FORG0006 instead of
-   returning a value. Node-only streams are immune, and ranges stream
-   exactly the items the eager evaluator would build. Everything else
-   takes the eager path. *)
-let rec ebv_lazy_safe (e : expr) : bool =
-  match e with
-  | E_range _ -> true
-  | E_if (_, t, f) -> ebv_lazy_safe t && ebv_lazy_safe f
-  | _ -> yields_nodes_only e
-
-(* Routing an expression through the lazy layer costs a closure per
-   combinator per item, which only pays for itself when short-circuiting
-   can skip real work. [lazy_pays] is the cheap syntactic test for that:
-   subtree walks, numeric ranges and FLWOR pipelines can be cut short
-   mid-stream; child/attribute steps over already-materialized lists
-   cannot, and for those the eager evaluator's plain lists win. It must
-   only say yes when [eval_lazy] genuinely streams — a filter is
-   streamable exactly when its predicate is a pure EBV test (node-only,
-   no position()/last()), the same guard [eval_lazy] applies. *)
-let rec lazy_pays (e : expr) : bool =
-  match e with
-  | E_step ((Descendant | Descendant_or_self), _) -> true
-  | E_step _ -> false
-  | E_path (a, b) | E_seq [ a; b ] -> lazy_pays a || lazy_pays b
-  | E_seq es -> List.exists lazy_pays es
-  | E_if (_, t, f) -> lazy_pays t || lazy_pays f
-  | E_filter (b, pred) ->
-    lazy_pays b && yields_nodes_only pred && not (uses_position_or_last pred)
-  | E_range _ | E_flwor _ -> true
-  | _ -> false
-
-(* ------------------------------------------------------------------ *)
 (* The evaluator                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -407,19 +293,9 @@ let rec eval (dyn : Context.dyn) (e : expr) : sequence =
   | E_general_cmp (op, e1, e2) ->
     (* The paper's quirk #4: = is an existential comparison.
        1 = (1,2,3) holds; (1,2,3) = 3 holds; 1 = 3 does not. *)
-    if dyn.Context.env.Context.fast_eval && lazy_pays e1 then
-      (* Existential semantics invite early exit: materialize the right
-         operand once, then scan the left lazily and stop at the first
-         witnessing pair. *)
-      let l2 = atomize (eval dyn e2) in
-      of_bool
-        (Seq.exists
-           (fun a -> List.exists (fun b -> atomic_pair_test `General op a b) l2)
-           (atomize_seq (eval_lazy dyn e1)))
-    else
-      let l1 = atomize (eval dyn e1) and l2 = atomize (eval dyn e2) in
-      of_bool
-        (List.exists (fun a -> List.exists (fun b -> atomic_pair_test `General op a b) l2) l1)
+    let l1 = atomize (eval dyn e1) and l2 = atomize (eval dyn e2) in
+    of_bool
+      (List.exists (fun a -> List.exists (fun b -> atomic_pair_test `General op a b) l2) l1)
   | E_value_cmp (op, e1, e2) -> (
     match (atomize (eval dyn e1), atomize (eval dyn e2)) with
     | [], _ | _, [] -> []
@@ -451,29 +327,11 @@ let rec eval (dyn : Context.dyn) (e : expr) : sequence =
       | None -> err Errors.xpty0004 "%s requires node sequences" name
     in
     let l1 = nodes "set operation" e1 and l2 = nodes "set operation" e2 in
-    if dyn.Context.env.Context.fast_eval then begin
-      (* Membership through an id-keyed hash set — O(n + m) — and the
-         key-sorted document_order: O(n log n) overall, against the
-         seed's O(n·m) pairwise [N.same] scans and path-walking sort. *)
-      match op with
-      | Union -> of_nodes (document_order (l1 @ l2))
-      | Intersect | Except ->
-        let tbl = Hashtbl.create (2 * List.length l2 + 1) in
-        List.iter (fun n -> Hashtbl.replace tbl (N.id n) ()) l2;
-        let keep =
-          match op with
-          | Except -> fun n -> not (Hashtbl.mem tbl (N.id n))
-          | _ -> fun n -> Hashtbl.mem tbl (N.id n)
-        in
-        of_nodes (document_order (List.filter keep l1))
-    end
-    else begin
-      let mem n l = List.exists (N.same n) l in
-      match op with
-      | Union -> of_nodes (document_order_seed (l1 @ l2))
-      | Intersect -> of_nodes (document_order_seed (List.filter (fun n -> mem n l2) l1))
-      | Except -> of_nodes (document_order_seed (List.filter (fun n -> not (mem n l2)) l1))
-    end
+    let mem n l = List.exists (N.same n) l in
+    (match op with
+    | Union -> of_nodes (document_order_seed (l1 @ l2))
+    | Intersect -> of_nodes (document_order_seed (List.filter (fun n -> mem n l2) l1))
+    | Except -> of_nodes (document_order_seed (List.filter (fun n -> not (mem n l2)) l1)))
   | E_if (c, t, f) -> if ebv_expr dyn c then eval dyn t else eval dyn f
   | E_flwor f -> eval_flwor dyn f
   | E_quantified (q, bindings, body) -> of_bool (eval_quantified dyn q bindings body)
@@ -490,10 +348,7 @@ let rec eval (dyn : Context.dyn) (e : expr) : sequence =
            base)
     in
     (match all_nodes results with
-    | Some ns ->
-      of_nodes
-        (if dyn.Context.env.Context.fast_eval then document_order ns
-         else document_order_seed ns)
+    | Some ns -> of_nodes (document_order_seed ns)
     | None ->
       if List.for_all (function Atomic _ -> true | Node _ -> false) results then results
       else err Errors.xpty0018 "path result mixes nodes and atomic values")
@@ -501,12 +356,6 @@ let rec eval (dyn : Context.dyn) (e : expr) : sequence =
   | E_step (axis, test) ->
     let n = Context.context_node dyn in
     of_nodes (List.filter (node_test_matches test) (axis_nodes axis n))
-  | E_filter (base, E_int k) when dyn.Context.env.Context.fast_eval ->
-    (* A literal positional predicate — e[3] — selects by index; no focus
-       needs to be bound and no predicate evaluated per item. *)
-    let items = eval dyn base in
-    if k < 1 then []
-    else ( match List.nth_opt items (k - 1) with Some it -> [ it ] | None -> [])
   | E_filter (base, pred) ->
     let items = eval dyn base in
     let size = List.length items in
@@ -692,37 +541,15 @@ and eval_quantified dyn q bindings body =
   | [] -> ebv_expr dyn body
   | (var, source) :: rest ->
     let test item = eval_quantified (Context.bind_var dyn var [ item ]) q rest body in
-    if dyn.Context.env.Context.fast_eval && lazy_pays source then
-      (* The source streams: the first witness (some) or counterexample
-         (every) stops both the scan and the source's own axis walks. *)
-      let items = eval_lazy dyn source in
-      match q with
-      | Some_q -> Seq.exists test items
-      | Every_q -> Seq.for_all test items
-    else
-      let items = eval dyn source in
-      (match q with
-      | Some_q -> List.exists test items
-      | Every_q -> List.for_all test items)
+    let items = eval dyn source in
+    (match q with
+    | Some_q -> List.exists test items
+    | Every_q -> List.for_all test items)
 
 and eval_call dyn name arg_exprs =
   let arity = List.length arg_exprs in
   match Context.find_function dyn.env name arity with
-  | Some (Context.Builtin f) -> (
-    (* Emptiness and EBV probes short-circuit through the lazy layer
-       instead of materializing their argument. Only functions actually
-       registered as builtins are intercepted, so a user redefinition
-       still wins the [find_function] lookup above. *)
-    match (Context.normalize_fname name, arg_exprs) with
-    | "exists", [ arg ] when dyn.Context.env.Context.fast_eval && lazy_pays arg ->
-      of_bool (not (Seq.is_empty (eval_lazy dyn arg)))
-    | "empty", [ arg ] when dyn.Context.env.Context.fast_eval && lazy_pays arg ->
-      of_bool (Seq.is_empty (eval_lazy dyn arg))
-    | "boolean", [ arg ] when dyn.Context.env.Context.fast_eval ->
-      of_bool (ebv_expr dyn arg)
-    | "not", [ arg ] when dyn.Context.env.Context.fast_eval ->
-      of_bool (not (ebv_expr dyn arg))
-    | _ -> f dyn (List.map (eval dyn) arg_exprs))
+  | Some (Context.Builtin f) -> f dyn (List.map (eval dyn) arg_exprs)
   | Some (Context.User { uparams; ureturn; ubody }) ->
     let args = List.map (eval dyn) arg_exprs in
     let limits = dyn.Context.env.Context.limits in
@@ -760,128 +587,7 @@ and eval_call dyn name arg_exprs =
   | None ->
     err Errors.xpst0017 "unknown function %s/%d" name arity
 
-(* Effective boolean value of an expression: through the lazy layer when
-   the environment allows it (at most two items forced) AND the stream is
-   guaranteed to agree with the eager EBV ([ebv_lazy_safe] — streams that
-   can surface duplicate atomics must materialize), else by materializing
-   — the seed behaviour. *)
-and ebv_expr dyn e =
-  if dyn.Context.env.Context.fast_eval && lazy_pays e && ebv_lazy_safe e then
-    effective_boolean_value_seq (eval_lazy dyn e)
-  else effective_boolean_value (eval dyn e)
-
-(* The lazy sequence layer. [eval_lazy dyn e] produces the items of [e]
-   on demand; forcing the whole thing agrees with [eval] up to document
-   order and duplicates on path results, so it is only used where neither
-   is observable: emptiness probes (fn:exists/fn:empty), quantifier
-   sources and the left side of an existential general comparison (both
-   insensitive to order and multiplicity), and EBV — where multiplicity
-   IS observable for atomic items (two equal atomics raise FORG0006 where
-   one is a value), so [ebv_expr] additionally requires [ebv_lazy_safe]
-   before streaming. Laziness also means a short-circuiting consumer can
-   skip errors the eager evaluator would have raised from later items
-   (including the XPTY0018 mixed-path-result check) — the
-   evaluation-order latitude XQuery explicitly grants. *)
-and eval_lazy (dyn : Context.dyn) (e : expr) : item Seq.t =
-  match e with
-  | E_seq es -> Seq.concat_map (fun e -> eval_lazy dyn e) (List.to_seq es)
-  | E_if (c, t, f) -> if ebv_expr dyn c then eval_lazy dyn t else eval_lazy dyn f
-  | E_step (axis, test) ->
-    (* The lazy walk does O(1) work per demanded node and can be driven
-       unboundedly by a streaming consumer, so each delivered node pays a
-       tick here — the eager arm's per-[eval] tick never runs. *)
-    let limits = dyn.Context.env.Context.limits in
-    let n = Context.context_node dyn in
-    Seq.map
-      (fun n ->
-        Context.tick limits;
-        Node n)
-      (Seq.filter (node_test_matches test) (axis_seq axis n))
-  | E_path (e1, e2) when not (uses_position_or_last e2) ->
-    (* Streams nodes as the axes deliver them — unordered and
-       un-deduplicated relative to [eval]'s sorted result, which the
-       consumers above cannot observe. *)
-    Seq.concat_map
-      (fun item ->
-        match item with
-        | Node _ -> eval_lazy (Context.with_context dyn item 1 1) e2
-        | Atomic _ -> err Errors.xpty0019 "a path step was applied to a non-node")
-      (eval_lazy dyn e1)
-  | E_filter (base, pred)
-    when yields_nodes_only pred && not (uses_position_or_last pred) ->
-    (* A node-only predicate is a pure EBV (emptiness) test: it can never
-       produce the numeric singleton that positional selection keys on,
-       and by the position/last guard it cannot observe the focus
-       position or size either — so items stream through one at a time
-       with a dummy focus. Anything else (numeric literals, atomizing
-       predicates) falls to the materializing arm below, and [lazy_pays]
-       mirrors this guard so callers don't route such filters here. *)
-    Seq.filter
-      (fun item ->
-        let d = Context.with_context dyn item 1 1 in
-        ebv_expr d pred)
-      (eval_lazy dyn base)
-  | E_range (e1, e2) -> (
-    match (atomize (eval dyn e1), atomize (eval dyn e2)) with
-    | [], _ | _, [] -> Seq.empty
-    | [ a ], [ b ] ->
-      let lo = cast_to_int a and hi = cast_to_int b in
-      let limits = dyn.Context.env.Context.limits in
-      if lo > hi then Seq.empty
-      else
-        Seq.init (hi - lo + 1) (fun i ->
-            Context.tick limits;
-            Atomic (A_int (lo + i)))
-    | _ -> err Errors.xpty0004 "'to' requires singleton operands")
-  | E_flwor { clauses; order_by = []; return } ->
-    (* An unordered FLWOR pipelines: each binding tuple flows through the
-       clause chain as the consumer demands output items. *)
-    let dyns =
-      List.fold_left
-        (fun (dyns : Context.dyn Seq.t) clause ->
-          match clause with
-          | For { var; var_type; pos_var; source } ->
-            Seq.concat_map
-              (fun (d : Context.dyn) ->
-                (* A positional variable observes the source's exact
-                   order and multiplicity, so it pins the source to the
-                   eager evaluator; a plain for streams. *)
-                let items =
-                  match pos_var with
-                  | Some _ -> List.to_seq (eval d source)
-                  | None -> eval_lazy d source
-                in
-                Seq.mapi
-                  (fun i item ->
-                    (if d.Context.env.Context.typed_mode then
-                       match var_type with
-                       | Some ty when not (Stype.matches [ item ] ty) ->
-                         err Errors.xpty0004 "for $%s as %s: item does not match" var
-                           (Stype.to_string ty)
-                       | _ -> ());
-                    let d = Context.bind_var d var [ item ] in
-                    match pos_var with
-                    | Some pv -> Context.bind_var d pv (of_int (i + 1))
-                    | None -> d)
-                  items)
-              dyns
-          | Let { var; var_type; value } ->
-            Seq.map
-              (fun (d : Context.dyn) ->
-                let v = eval d value in
-                (if d.Context.env.Context.typed_mode then
-                   match var_type with
-                   | Some ty when not (Stype.matches v ty) ->
-                     err Errors.xpty0004 "let $%s as %s: value does not match" var
-                       (Stype.to_string ty)
-                   | _ -> ());
-                Context.bind_var d var v)
-              dyns
-          | Where cond -> Seq.filter (fun d -> ebv_expr d cond) dyns)
-        (Seq.return dyn) clauses
-    in
-    Seq.concat_map (fun d -> eval_lazy d return) dyns
-  | e -> List.to_seq (eval dyn e)
+and ebv_expr dyn e = effective_boolean_value (eval dyn e)
 
 (* ------------------------------------------------------------------ *)
 (* Programs                                                            *)

@@ -1,6 +1,7 @@
-(** The dynamic evaluator. Most callers want {!Engine}; this module is
-    the lower level used by the XSLT engine and tooling that manages its
-    own contexts. *)
+(** The reference evaluator (the engine's [Seed] mode): a tree-walk
+    with the seed algorithms, against which the plan executor is tested.
+    Most callers want {!Engine}; this module is the lower level used by
+    the XSLT engine and tooling that manages its own contexts. *)
 
 val eval : Context.dyn -> Ast.expr -> Value.sequence
 (** Evaluate an expression in a dynamic context (variables, context

@@ -423,8 +423,8 @@ let dv_int_exact n = n >= -(1 lsl 53) && n <= 1 lsl 53
 let dv_key = function
   (* A big integer keeps its exact value as the key: the pairwise scan
      compares int/int exactly, so two ints that only collide after
-     rounding to double must stay distinct. The fast path below only
-     hashes such ints when the sequence holds no doubles, so the split
+     rounding to double must stay distinct. The hashed variant below
+     only hashes such ints when the sequence holds no doubles, so the split
      key space (K_int vs K_num) can never separate values the scan's
      int/double double-conversion comparison would merge. *)
   | A_int n when not (dv_int_exact n) -> K_int n
@@ -436,7 +436,25 @@ let dv_key = function
   | A_string s | A_untyped s -> K_str s
   | A_bool b -> K_bool b
 
-let fn_distinct_values dyn args =
+(* The seed algorithm: a pairwise scan, O(n²), first occurrence wins. *)
+let distinct_scan atoms =
+  let seen = ref [] in
+  let same a b =
+    (is_nan_atomic a && is_nan_atomic b)
+    || (match general_compare_atoms a b with Some 0 -> true | _ -> false)
+  in
+  let keep a =
+    if List.exists (same a) !seen then false
+    else begin
+      seen := a :: !seen;
+      true
+    end
+  in
+  List.filter_map (fun a -> if keep a then Some (Atomic a) else None) atoms
+
+let fn_distinct_values _dyn args = distinct_scan (atomize (List.hd args))
+
+let distinct_values_hashed _dyn args =
   let atoms = atomize (List.hd args) in
   let homogeneous =
     match atoms with
@@ -457,10 +475,10 @@ let fn_distinct_values dyn args =
          || not (List.exists (function A_double _ -> true | _ -> false) atoms)
        | _ -> true)
   in
-  if dyn.Context.env.Context.fast_eval && hashable then begin
+  if hashable then begin
     (* One comparison class: equality coincides with key equality, so a
-       hash set gives O(n) in place of the seed's O(n²) pairwise scan.
-       First occurrence wins, as in the seed. *)
+       hash set gives O(n) in place of the scan's O(n²). First occurrence
+       wins, as in the scan. *)
     let tbl = Hashtbl.create (2 * List.length atoms + 1) in
     List.filter_map
       (fun a ->
@@ -472,21 +490,7 @@ let fn_distinct_values dyn args =
         end)
       atoms
   end
-  else begin
-    let seen = ref [] in
-    let same a b =
-      (is_nan_atomic a && is_nan_atomic b)
-      || (match general_compare_atoms a b with Some 0 -> true | _ -> false)
-    in
-    let keep a =
-      if List.exists (same a) !seen then false
-      else begin
-        seen := a :: !seen;
-        true
-      end
-    in
-    List.filter_map (fun a -> if keep a then Some (Atomic a) else None) atoms
-  end
+  else distinct_scan atoms
 
 let fn_reverse _dyn args = List.rev (List.hd args)
 

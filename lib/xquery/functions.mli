@@ -18,3 +18,10 @@ val find :
 (** Resolve a builtin by (possibly [fn:]-prefixed) name and arity,
     including the variadic [fn:concat] range. Used by the plan compiler
     to bind call sites at compile time. *)
+
+val distinct_values_hashed :
+  Context.dyn -> Value.sequence list -> Value.sequence
+(** fn:distinct-values through a hash set — O(n) where the registered
+    builtin scans pairwise — falling back to the scan when the values
+    span comparison classes. Same result, same order; the plan compiler
+    binds this one. *)

@@ -131,7 +131,9 @@ type stats = {
   mutable steps_fused : int; (* path steps merged into pipelines *)
   mutable preds_fused : int; (* predicates pushed into step walks *)
   mutable loops_tightened : int; (* FLWORs lowered to tight slot loops *)
-  mutable early_exits : int; (* exists/empty probes that can stop early *)
+  mutable early_exits : int;
+      (* consumers that stream their operand and can stop early: exists/
+         empty probes, existential comparisons, quantifiers *)
   mutable calls_resolved : int; (* call sites bound at compile time *)
   mutable funcs_memoized : int; (* functions proved pure and memoizable *)
 }

@@ -1,11 +1,21 @@
 (* The plan executor: a first-order interpreter over Plan.t whose inner
    loops run on flat frames (arrays of sequences indexed by slot) and
    node lists, with no AST, no string-keyed environments and no closure
-   allocation per step. Semantics mirror Eval to the letter — the
-   three-way plan=fast=seed oracle in the test suite holds it to that —
-   and every operator still ticks the resource budget, so fuel, deadline,
-   depth and node limits trip inside plan execution exactly as they do in
-   the tree-walker.
+   allocation per step. This is the engine's Fast mode. Semantics mirror
+   the reference evaluator (Eval) to the letter — the fast = seed =
+   unoptimized oracle in the test suite holds it to that — and every
+   operator still ticks the resource budget, so fuel, deadline, depth and
+   node limits trip inside plan execution exactly as they do in the
+   tree-walker.
+
+   Early exit: consumers that only ask whether some item qualifies
+   (exists/empty, EBV, existential comparisons, quantifiers) stream a
+   streamable operand ([Compile.streams]) through [scan] and stop at the
+   first item that settles the answer, instead of materializing it. A
+   consumer whose per-item test can raise (a quantifier body, a
+   comparison that casts) asks for an exact stream — the materialized
+   sequence's items in its order — so that it meets the same items
+   before its witness as the reference evaluator does.
 
    Parallel fragments: a [P_for_loop] whose body is compile-time
    parallel-safe and whose source is large may fan its iterations out
@@ -122,6 +132,14 @@ let nodes_of_base (s : sequence) : N.t list =
       | Atomic _ -> err Errors.xpty0019 "a path step was applied to a non-node")
     s
 
+(* The typed-mode check on an item bound by [for $var as typ]. *)
+let check_for_item st var typ item =
+  if st.env.Context.typed_mode then
+    match typ with
+    | Some ty when not (Stype.matches [ item ] ty) ->
+      err Errors.xpty0004 "for $%s as %s: item does not match" var (Stype.to_string ty)
+    | _ -> ()
+
 let rec exec (st : st) (frame : sequence array) (cit : item option) (cpos : int)
     (csiz : int) (p : Plan.t) : sequence =
   Context.tick st.env.Context.limits;
@@ -143,22 +161,15 @@ let rec exec (st : st) (frame : sequence array) (cit : item option) (cpos : int)
     in
     go 0
   | P_range (e1, e2) -> (
-    match
-      (atomize (exec st frame cit cpos csiz e1), atomize (exec st frame cit cpos csiz e2))
-    with
-    | [], _ | _, [] -> []
-    | [ a ], [ b ] ->
-      let lo = cast_to_int a and hi = cast_to_int b in
-      if lo > hi then []
-      else begin
-        let limits = st.env.Context.limits in
-        List.init
-          (hi - lo + 1)
-          (fun i ->
-            Context.tick limits;
-            Atomic (A_int (lo + i)))
-      end
-    | _ -> err Errors.xpty0004 "'to' requires singleton operands")
+    match range_bounds st frame cit cpos csiz e1 e2 with
+    | Some (lo, hi) when lo <= hi ->
+      let limits = st.env.Context.limits in
+      List.init
+        (hi - lo + 1)
+        (fun i ->
+          Context.tick limits;
+          Atomic (A_int (lo + i)))
+    | _ -> [])
   | P_arith (op, e1, e2) -> (
     match
       (atomize (exec st frame cit cpos csiz e1), atomize (exec st frame cit cpos csiz e2))
@@ -184,12 +195,24 @@ let rec exec (st : st) (frame : sequence array) (cit : item option) (cpos : int)
       | _ -> assert false)
     | _ -> err Errors.xpty0004 "unary - requires a singleton operand")
   | P_general_cmp (op, e1, e2) ->
-    let l1 = atomize (exec st frame cit cpos csiz e1) in
-    let l2 = atomize (exec st frame cit cpos csiz e2) in
-    of_bool
-      (List.exists
-         (fun a -> List.exists (fun b -> Eval.atomic_pair_test `General op a b) l2)
-         l1)
+    let witness l2 a = List.exists (fun b -> Eval.atomic_pair_test `General op a b) l2 in
+    if Compile.streams e1 then
+      (* Existential semantics invite early exit: materialize the right
+         operand once, then stream the left and stop at the first
+         witnessing pair. Nodes atomize to untyped values, which compare
+         with strings and untyped values without casting, so only then
+         can no pair raise and the stream's order not matter. *)
+      let l2 = atomize (exec st frame cit cpos csiz e2) in
+      let exact =
+        not
+          (Compile.nodes_only e1
+          && List.for_all (function A_string _ | A_untyped _ -> true | _ -> false) l2)
+      in
+      of_bool (scan st frame cit cpos csiz ~exact e1 (fun it -> witness l2 (atomize_item it)))
+    else
+      let l1 = atomize (exec st frame cit cpos csiz e1) in
+      let l2 = atomize (exec st frame cit cpos csiz e2) in
+      of_bool (List.exists (witness l2) l1)
   | P_value_cmp (op, e1, e2) -> (
     match
       (atomize (exec st frame cit cpos csiz e1), atomize (exec st frame cit cpos csiz e2))
@@ -274,16 +297,8 @@ let rec exec (st : st) (frame : sequence array) (cit : item option) (cpos : int)
              if double_of_atomic a = float_of_int (i + 1) then [ item ] else []
            | p -> if effective_boolean_value p then [ item ] else [])
          items)
-  | P_exists (p, early) -> (
-    match p with
-    | P_steps sp when early -> of_bool (probe_pipeline st frame cit cpos csiz sp)
-    | _ -> (
-      match exec st frame cit cpos csiz p with [] -> of_bool false | _ -> of_bool true))
-  | P_empty (p, early) -> (
-    match p with
-    | P_steps sp when early -> of_bool (not (probe_pipeline st frame cit cpos csiz sp))
-    | _ -> (
-      match exec st frame cit cpos csiz p with [] -> of_bool true | _ -> of_bool false))
+  | P_exists (p, early) -> of_bool (nonempty st frame cit cpos csiz p early)
+  | P_empty (p, early) -> of_bool (not (nonempty st frame cit cpos csiz p early))
   | P_ebv p -> of_bool (ebv st frame cit cpos csiz p)
   | P_not p -> of_bool (not (ebv st frame cit cpos csiz p))
   | P_call_builtin (_, f, args) ->
@@ -334,17 +349,11 @@ let rec exec (st : st) (frame : sequence array) (cit : item option) (cpos : int)
     then run_parallel st frame cit cpos csiz slot var typ items n body
     else begin
       let limits = st.env.Context.limits in
-      let typed = st.env.Context.typed_mode in
       let racc = ref [] in
       List.iter
         (fun item ->
           Context.tick limits;
-          (if typed then
-             match typ with
-             | Some ty when not (Stype.matches [ item ] ty) ->
-               err Errors.xpty0004 "for $%s as %s: item does not match" var
-                 (Stype.to_string ty)
-             | _ -> ());
+          check_for_item st var typ item;
           frame.(slot) <- [ item ];
           racc := exec st frame cit cpos csiz body :: !racc)
         items;
@@ -425,6 +434,16 @@ let rec exec (st : st) (frame : sequence array) (cit : item option) (cpos : int)
     of_node (N.document kids)
   | P_comment e -> of_node (N.comment (string_value (exec st frame cit cpos csiz e)))
 
+and range_bounds st frame cit cpos csiz e1 e2 : (int * int) option =
+  match
+    (atomize (exec st frame cit cpos csiz e1), atomize (exec st frame cit cpos csiz e2))
+  with
+  | [], _ | _, [] -> None
+  | [ a ], [ b ] ->
+    let lo = cast_to_int a and hi = cast_to_int b in
+    Some (lo, hi)
+  | _ -> err Errors.xpty0004 "'to' requires singleton operands"
+
 and exec_name st frame cit cpos csiz = function
   | PN_static n -> n
   | PN_computed p -> string_value (exec st frame cit cpos csiz p)
@@ -439,12 +458,62 @@ and eval_args st frame cit cpos csiz (args : Plan.t array) : sequence list =
   in
   go 0
 
+and nonempty st frame cit cpos csiz p early =
+  if early then scan st frame cit cpos csiz ~exact:false p (fun _ -> true)
+  else exec st frame cit cpos csiz p <> []
+
 (* Effective boolean value of a plan. A step pipeline yields only nodes,
-   where EBV is an emptiness test — use the early-exit probe. *)
+   where EBV is an emptiness test: the early-exit walk. Other streamable
+   plans stream when [Compile.ebv_streams] says the stream's EBV is the
+   sequence's, drawing at most two items. *)
 and ebv st frame cit cpos csiz (p : Plan.t) : bool =
   match p with
-  | P_steps sp -> probe_pipeline st frame cit cpos csiz sp
+  | P_steps sp -> scan_pipeline st frame cit cpos csiz ~exact:false sp (fun _ -> true)
+  | _ when Compile.ebv_streams p ->
+    (* a leading node decides it; otherwise two items do *)
+    let seen = ref [] in
+    ignore
+      (scan st frame cit cpos csiz ~exact:false p (fun it ->
+           seen := it :: !seen;
+           match it with Node _ -> true | Atomic _ -> List.length !seen >= 2));
+    effective_boolean_value (List.rev !seen)
   | _ -> effective_boolean_value (exec st frame cit cpos csiz p)
+
+(* ------------------------------------------------------------------ *)
+(* Streaming                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Feed the items of [p] to [f] until [f] accepts one; true iff one was
+   accepted. Step pipelines, sequences, conditionals, ranges and tight
+   loops stream; anything else is materialized and then scanned, so
+   every plan can be scanned, and a consumer that needs only a witness
+   never builds more of its operand than the witness costs. With [exact]
+   the items are the materialized sequence's, in its order; without it a
+   pipeline may repeat nodes or deliver them out of order. *)
+and scan st frame cit cpos csiz ~exact (p : Plan.t) (f : item -> bool) : bool =
+  match p with
+  | P_steps sp -> scan_pipeline st frame cit cpos csiz ~exact sp f
+  | P_seq parts -> Array.exists (fun q -> scan st frame cit cpos csiz ~exact q f) parts
+  | P_if (c, t, e) ->
+    scan st frame cit cpos csiz ~exact (if ebv st frame cit cpos csiz c then t else e) f
+  | P_range (e1, e2) -> (
+    match range_bounds st frame cit cpos csiz e1 e2 with
+    | Some (lo, hi) when lo <= hi ->
+      let limits = st.env.Context.limits in
+      let rec from i =
+        Context.tick limits;
+        f (Atomic (A_int i)) || (i < hi && from (i + 1))
+      in
+      from lo
+    | _ -> false)
+  | P_for_loop { slot; var; typ; src; body; _ } ->
+    let limits = st.env.Context.limits in
+    scan st frame cit cpos csiz ~exact src (fun item ->
+        Context.tick limits;
+        check_for_item st var typ item;
+        frame.(slot) <- [ item ];
+        scan st frame cit cpos csiz ~exact body f)
+  | _ -> List.exists f (exec st frame cit cpos csiz p)
 
 (* ------------------------------------------------------------------ *)
 (* Step pipelines                                                      *)
@@ -457,13 +526,25 @@ and preds_ok st frame (s : Plan.step) (m : N.t) : bool =
   let rec go i = i >= np || (ebv st frame (Some (Node m)) 1 1 s.preds.(i) && go (i + 1)) in
   go 0
 
-and run_steps st frame cit cpos csiz { base; steps; sorted_if_single; raw } : sequence =
-  let base_seq = exec st frame cit cpos csiz base in
-  let nodes = nodes_of_base base_seq in
-  let n0 = List.length nodes in
-  if n0 = 0 then []
-  else begin
-    let limits = st.env.Context.limits in
+and run_steps st frame cit cpos csiz sp : sequence =
+  steps_from st frame sp (nodes_of_base (exec st frame cit cpos csiz sp.base))
+
+and steps_from st frame { steps; sorted_if_single; raw; _ } nodes : sequence =
+  let limits = st.env.Context.limits in
+  match nodes with
+  | [] -> []
+  | [ n ] when Array.length steps = 1 && (raw || sorted_if_single) ->
+    (* The commonest shape — one step from one node (@a, child::x,
+       $n/@id): the axis walk's order is the answer. *)
+    let s = steps.(0) in
+    List.filter_map
+      (fun m ->
+        Context.tick limits;
+        if Eval.node_test_matches s.test m && preds_ok st frame s m then Some (Node m)
+        else None)
+      (Eval.axis_nodes s.axis n)
+  | _ ->
+    let n0 = List.length nodes in
     let cur = ref nodes in
     let count = ref n0 in
     Array.iter
@@ -498,35 +579,41 @@ and run_steps st frame cit cpos csiz { base; steps; sorted_if_single; raw } : se
       if raw || (sorted_if_single && n0 <= 1) then !cur else document_order !cur
     in
     of_nodes final
-  end
 
-(* Emptiness probe: walk the pipeline depth-first and stop at the first
-   node that survives the whole chain. Over nodes EBV is exactly
-   non-emptiness, and a pipeline can only raise budget trips, so the
-   early exit is unobservable except as saved work. *)
-and probe_pipeline st frame cit cpos csiz { base; steps; _ } : bool =
-  let base_seq = exec st frame cit cpos csiz base in
-  let nodes = nodes_of_base base_seq in
-  let limits = st.env.Context.limits in
-  let nsteps = Array.length steps in
-  let rec from i n =
-    if i >= nsteps then true
-    else begin
-      let s = steps.(i) in
-      let try_node m =
-        Context.tick limits;
-        Eval.node_test_matches s.test m && preds_ok st frame s m && from (i + 1) m
-      in
-      let rec desc_exists n =
-        List.exists (fun k -> try_desc k) (N.children n)
-      and try_desc k = try_node k || desc_exists k in
-      match s.axis with
-      | Ast.Descendant -> desc_exists n
-      | Ast.Descendant_or_self -> try_node n || desc_exists n
-      | axis -> List.exists try_node (Eval.axis_nodes axis n)
-    end
-  in
-  List.exists (fun n -> from 0 n) nodes
+(* The streaming walk: depth-first through the pipeline, handing each
+   node that survives the whole chain to [f] and stopping once [f]
+   accepts one; with [f] constant true it is the emptiness probe. The
+   walk skips the per-step sort and dedup, so it yields the materialized
+   sequence item for item exactly when that sequence needs no sort: a
+   bare step, or an order-free pipeline from a singleton base. An
+   [exact] scan of any other pipeline materializes it first. *)
+and scan_pipeline st frame cit cpos csiz ~exact sp (f : item -> bool) : bool =
+  let nodes = nodes_of_base (exec st frame cit cpos csiz sp.base) in
+  if exact && not (sp.raw || (sp.sorted_if_single && List.compare_length_with nodes 1 <= 0))
+  then List.exists f (steps_from st frame sp nodes)
+  else begin
+    let limits = st.env.Context.limits in
+    let steps = sp.steps in
+    let nsteps = Array.length steps in
+    let rec from i n =
+      if i >= nsteps then f (Node n)
+      else begin
+        let s = steps.(i) in
+        let try_node m =
+          Context.tick limits;
+          Eval.node_test_matches s.test m && preds_ok st frame s m && from (i + 1) m
+        in
+        let rec desc_exists n =
+          List.exists (fun k -> try_desc k) (N.children n)
+        and try_desc k = try_node k || desc_exists k in
+        match s.axis with
+        | Ast.Descendant -> desc_exists n
+        | Ast.Descendant_or_self -> try_node n || desc_exists n
+        | axis -> List.exists try_node (Eval.axis_nodes axis n)
+      end
+    in
+    List.exists (fun n -> from 0 n) nodes
+  end
 
 (* ------------------------------------------------------------------ *)
 (* FLWOR                                                               *)
@@ -576,12 +663,7 @@ and exec_flwor st frame cit cpos csiz clauses order_by ret : sequence =
               let items = exec st fr cit cpos csiz src in
               List.mapi
                 (fun i item ->
-                  (if typed then
-                     match typ with
-                     | Some ty when not (Stype.matches [ item ] ty) ->
-                       err Errors.xpty0004 "for $%s as %s: item does not match" var
-                         (Stype.to_string ty)
-                     | _ -> ());
+                  check_for_item st var typ item;
                   let fr' = Array.copy fr in
                   fr'.(slot) <- [ item ];
                   (match pos_slot with
@@ -661,14 +743,23 @@ and exec_quant st frame cit cpos csiz q (bindings : (int * string * Plan.t) arra
   if i >= Array.length bindings then ebv st frame cit cpos csiz body
   else begin
     let slot, _, src = bindings.(i) in
-    let items = exec st frame cit cpos csiz src in
     let test item =
       frame.(slot) <- [ item ];
       exec_quant st frame cit cpos csiz q bindings body (i + 1)
     in
-    match q with
-    | Ast.Some_q -> List.exists test items
-    | Ast.Every_q -> List.for_all test items
+    if Compile.streams src then
+      (* The first witness (some) or counterexample (every) stops both
+         the scan and the source's own walk. The body may raise, so it
+         must meet the items in the materialized order. *)
+      match q with
+      | Ast.Some_q -> scan st frame cit cpos csiz ~exact:true src test
+      | Ast.Every_q ->
+        not (scan st frame cit cpos csiz ~exact:true src (fun it -> not (test it)))
+    else
+      let items = exec st frame cit cpos csiz src in
+      match q with
+      | Ast.Some_q -> List.exists test items
+      | Ast.Every_q -> List.for_all test items
   end
 
 (* ------------------------------------------------------------------ *)
@@ -682,7 +773,6 @@ and run_parallel st frame cit cpos csiz slot var typ items n body : sequence =
   let chunk = (n + nchunks - 1) / nchunks in
   let results : (sequence, exn) result array = Array.make nchunks (Ok []) in
   let parent = st.env.Context.limits in
-  let typed = st.env.Context.typed_mode in
   let tasks =
     Array.init nchunks (fun ci () ->
         let lo = ci * chunk in
@@ -701,12 +791,7 @@ and run_parallel st frame cit cpos csiz slot var typ items n body : sequence =
           for i = lo to hi - 1 do
             let item = arr.(i) in
             Context.tick wlimits;
-            (if typed then
-               match typ with
-               | Some ty when not (Stype.matches [ item ] ty) ->
-                 err Errors.xpty0004 "for $%s as %s: item does not match" var
-                   (Stype.to_string ty)
-               | _ -> ());
+            check_for_item wst var typ item;
             wframe.(slot) <- [ item ];
             racc := exec wst wframe cit cpos csiz body :: !racc
           done;

@@ -23,9 +23,6 @@ let seq = List.concat
 let atomize s =
   List.map (function Atomic a -> a | Node n -> A_untyped (N.string_value n)) s
 
-let atomize_seq (s : item Seq.t) : atomic Seq.t =
-  Seq.map (function Atomic a -> a | Node n -> A_untyped (N.string_value n)) s
-
 (* Canonical lexical forms. Doubles print like XPath: integral values
    without a fractional part, NaN/INF spelled the XSD way. *)
 let string_of_double f =
@@ -231,20 +228,6 @@ let document_order_seed ns =
     | [] -> []
   in
   dedup sorted
-
-(* Lazy-sequence judgements: the pipelined evaluator probes at most two
-   items instead of materializing the operand. Mirrors
-   [effective_boolean_value] case for case. *)
-let effective_boolean_value_seq (s : item Seq.t) =
-  match s () with
-  | Seq.Nil -> false
-  | Seq.Cons (Node _, _) -> true
-  | Seq.Cons ((Atomic _ as first), rest) -> (
-    match rest () with
-    | Seq.Nil -> effective_boolean_value [ first ]
-    | Seq.Cons _ ->
-      Errors.raise_error Errors.forg0006
-        "effective boolean value of a multi-item atomic sequence")
 
 let atomize_item = function
   | Atomic a -> a

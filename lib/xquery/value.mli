@@ -40,9 +40,6 @@ val atomize : sequence -> atomic list
 (** Nodes are replaced by their typed value: untypedAtomic of the string
     value (we run schema-less, as the paper's project did). *)
 
-val atomize_seq : item Seq.t -> atomic Seq.t
-(** Lazy {!atomize}: one item forced per element demanded. *)
-
 val atomize_item : item -> atomic
 
 val atomize_one : string -> sequence -> atomic
@@ -68,10 +65,6 @@ val effective_boolean_value : sequence -> bool
 (** () is false; a sequence whose first item is a node is true; singleton
     boolean/string/untyped/numeric by the usual rules;
     @raise Errors.Error FORG0006 on other sequences. *)
-
-val effective_boolean_value_seq : item Seq.t -> bool
-(** Same judgement over a lazy sequence: forces at most two items, so a
-    pipelined producer (an axis walk, a FLWOR) stops early. *)
 
 val string_value : sequence -> string
 (** fn:string applied to at most one item; [""] for empty.

@@ -1,10 +1,10 @@
-(* The evaluator fast path (doc-order keys, hash node-set algebra, lazy
-   early-exit sequences) and the compiled plan executor must both be
-   optimizations, not dialects: on any query they accept, they have to
-   produce byte-identical output to the seed algorithms. The randomized
-   oracle here runs every (document, query) pair four ways — optimized +
-   fast, optimized + seed, unoptimized + seed, and the compiled plan —
-   and requires the same display string from all four.
+(* The Fast mode — the compiled plan executor with its doc-order keys,
+   hash node-set algebra and early-exit streams — must be an
+   optimization, not a dialect: on any query it accepts, it has to
+   produce byte-identical output to the seed algorithms of the reference
+   tree-walker. The randomized oracle here runs every (document, query)
+   pair three ways — optimized + fast, optimized + seed, unoptimized +
+   seed — and requires the same display string from all three.
 
    The query grammar is deliberately restricted to non-raising
    constructs: every generated query is valid on every generated
@@ -135,35 +135,23 @@ let gen_query : string QCheck.arbitrary =
   in
   QCheck.make ~print:(fun s -> s) g
 
-let run ~optimize ~fast doc q =
-  V.to_display_string
-    (E.eval_query ~optimize ~fast_eval:fast
-       ~context_item:(V.Node doc) q)
-
-let run_plan doc q =
-  V.to_display_string
-    (E.run
-       ~opts:(E.Exec_opts.make ~mode:E.Exec_opts.Plan ~context_item:(V.Node doc) ())
-       (E.compile q))
+let run ?(optimize = true) ~mode doc q =
+  V.to_display_string (E.eval_query ~optimize ~mode ~context_item:(V.Node doc) q)
 
 let prop_fast_matches_seed =
-  QCheck.Test.make ~name:"random queries: plan = fast path = seed path = unoptimized"
+  QCheck.Test.make ~name:"random queries: plan executor (fast) = seed = unoptimized seed"
     ~count:500
     (QCheck.pair gen_doc gen_query)
     (fun (doc, q) ->
-      let fast = run ~optimize:true ~fast:true doc q in
-      let seed = run ~optimize:true ~fast:false doc q in
-      let raw = run ~optimize:false ~fast:false doc q in
-      let plan = run_plan doc q in
+      let fast = run ~mode:E.Exec_opts.Fast doc q in
+      let seed = run ~mode:E.Exec_opts.Seed doc q in
+      let raw = run ~optimize:false ~mode:E.Exec_opts.Seed doc q in
       if fast <> seed then
         QCheck.Test.fail_reportf "fast/seed disagree on %s:\n  fast: %s\n  seed: %s" q
           fast seed
       else if seed <> raw then
         QCheck.Test.fail_reportf "optimizer changed %s:\n  opt: %s\n  raw: %s" q seed
           raw
-      else if plan <> seed then
-        QCheck.Test.fail_reportf "plan/seed disagree on %s:\n  plan: %s\n  seed: %s" q
-          plan seed
       else true)
 
 (* ------------------------------------------------------------------ *)
@@ -258,34 +246,25 @@ let test_doc_order_cross_tree () =
   Alcotest.(check bool) "cross-tree decided" true (ab <> 0)
 
 (* ------------------------------------------------------------------ *)
-(* Fast-path/seed agreement on reviewed edge cases                    *)
+(* Fast/seed agreement on reviewed edge cases                         *)
 (* ------------------------------------------------------------------ *)
 
-let eval_str ~fast doc q =
-  V.to_display_string (E.eval_query ~fast_eval:fast ~context_item:(V.Node doc) q)
-
-(* Errors count as observable outcomes: the fast path and the plan
-   executor must raise exactly when the seed raises, with the same code
-   and message. *)
+(* Errors count as observable outcomes: the plan executor must raise
+   exactly when the seed raises, with the same code and message. *)
 let check_fast_matches_seed doc q =
-  let show fast =
-    try eval_str ~fast doc q
+  let show mode =
+    try run ~mode doc q
     with Xquery.Errors.Error _ as e -> "raised " ^ Printexc.to_string e
   in
-  let show_plan () =
-    try run_plan doc q
-    with Xquery.Errors.Error _ as e -> "raised " ^ Printexc.to_string e
-  in
-  Alcotest.(check string) q (show false) (show true);
-  Alcotest.(check string) (q ^ " [plan]") (show false) (show_plan ())
+  Alcotest.(check string) q (show E.Exec_opts.Seed) (show E.Exec_opts.Fast)
 
 let test_lazy_ebv_duplicate_atomics () =
   (* (//a//b) reaches the single <b> through both nested <a>s; the seed
      dedups the parenthesized node set before /name() atomizes it, so
-     its EBV sees one atomic — an undeduped lazy stream would see two
-     and raise FORG0006. The fast path must materialize atomizing
+     its EBV sees one atomic — an undeduped stream would see two and
+     raise FORG0006. The plan executor must materialize atomizing
      operands and agree with the seed (including on the unparenthesized
-     forms, where duplicate atomics make BOTH paths raise). *)
+     forms, where duplicate atomics make BOTH modes raise). *)
   let doc = Xml_base.Parser.parse_string "<root><a><a><b>x</b></a></a></root>" in
   List.iter (check_fast_matches_seed doc)
     [
@@ -299,12 +278,15 @@ let test_lazy_ebv_duplicate_atomics () =
       "some $x in //a//b satisfies $x = \"x\"";
     ];
   Alcotest.(check string) "atomizing path EBV" "true"
-    (eval_str ~fast:true doc "boolean((//a//b)/name())")
+    (run ~mode:E.Exec_opts.Fast doc "boolean((//a//b)/name())")
 
 let test_lazy_filter_streams_correctly () =
+  (* Nested <a>s: //a//b reaches the inner <b> twice, and a depth-first
+     walk of //a/b meets the outer <a>'s <b>x</b> before the inner <a>'s
+     <b>2</b>, out of document order. *)
   let doc =
     Xml_base.Parser.parse_string
-      "<root><a><a><b><c/></b></a></a><a v=\"1\"/><a><d/></a></root>"
+      "<root><a><b>1</b><a><b>2<c/></b></a><b>x</b></a><a v=\"1\"/><a><d/></a></root>"
   in
   List.iter (check_fast_matches_seed doc)
     [
@@ -317,6 +299,29 @@ let test_lazy_filter_streams_correctly () =
          differs from the eager deduped base *)
       "exists((//a//b)[2])";
       "count((//a//b)[1])";
+      "//a//b";
+      "//a/b";
+      "(//a/b)[2]";
+      "exists(//a/b)";
+      "boolean(//a//b)";
+      "//a//b = \"2\"";
+      (* "x" = 2 raises FORG0001: the witness "2" must be found first *)
+      "//a/b = 2";
+      "//a//b != 1";
+      (* bodies that raise on an item after the witness (document order) *)
+      "some $x in //a/b satisfies (if ($x = \"2\") then true() else if ($x = \"x\") then \
+       error() else false())";
+      "every $x in //a/b satisfies (if ($x = \"2\") then false() else if ($x = \"x\") \
+       then error() else true())";
+      "some $x in //a//b satisfies (if ($x = \"1\") then true() else error())";
+      "some $i in 1 to 10 satisfies (if ($i = 2) then true() else if ($i > 2) then \
+       error() else false())";
+      (* streamed EBV: ranges and node-only loops *)
+      "boolean(5 to 5)";
+      "boolean(0 to 0)";
+      "boolean(1 to 3)";
+      "not(for $x in //a return $x/b)";
+      "if (for $x in //a return $x/d) then 1 else 2";
     ]
 
 let test_distinct_values_large_ints () =
@@ -326,7 +331,7 @@ let test_distinct_values_large_ints () =
   (* 2^53 and 2^53+1 collapse to the same double; as ints they must stay
      distinct, exactly as the seed's int/int comparison keeps them. *)
   Alcotest.(check string) "big ints stay distinct"
-    "9007199254740993 9007199254740992" (eval_str ~fast:true doc q);
+    "9007199254740993 9007199254740992" (run ~mode:E.Exec_opts.Fast doc q);
   (* doubles mixed with non-representable ints fall back to the scan *)
   check_fast_matches_seed doc
     "distinct-values((9007199254740993, 9007199254740992.0))";

@@ -8,7 +8,7 @@
    corpus (unbounded recursion, cartesian FLWORs, exponential
    constructor growth) always terminates in bounded time with a typed
    Resource_exhausted naming the budget that tripped — again on both
-   evaluators, since the lazy paths meter their own streams. *)
+   evaluators, since the plan executor's streams meter themselves. *)
 
 module E = Xquery.Engine
 module V = Xquery.Value
@@ -26,8 +26,11 @@ let generous () =
   C.make_limits ~fuel:50_000_000 ~max_depth:100_000 ~max_nodes:10_000_000
     ~deadline_ns:(Clock.now_ns () + Clock.ns_of_s 60.) ()
 
+let mode_of ~fast = if fast then E.Exec_opts.Fast else E.Exec_opts.Seed
+
 let run ?limits ~fast doc q =
-  V.to_display_string (E.eval_query ?limits ~fast_eval:fast ~context_item:(V.Node doc) q)
+  V.to_display_string
+    (E.eval_query ?limits ~mode:(mode_of ~fast) ~context_item:(V.Node doc) q)
 
 let prop_generous_budget_invisible =
   QCheck.Test.make ~name:"generous budget output = unbudgeted output (seed and fast)"
@@ -96,7 +99,7 @@ let test_hostile_corpus_trips ~fast () =
   List.iter
     (fun (name, q, limits_of, expected) ->
       match
-        E.eval_query ~limits:(backstop limits_of ()) ~fast_eval:fast
+        E.eval_query ~limits:(backstop limits_of ()) ~mode:(mode_of ~fast)
           ~context_item:(V.Node (Xml_base.Parser.parse_string "<root/>"))
           q
       with
@@ -114,7 +117,7 @@ let test_expired_deadline_preempts () =
   List.iter
     (fun fast ->
       match
-        E.eval_query ~fast_eval:fast
+        E.eval_query ~mode:(mode_of ~fast)
           ~limits:(C.make_limits ~deadline_ns:(Clock.now_ns () - 1) ())
           "1 + 1"
       with

@@ -1,10 +1,10 @@
-(* The compiled plan executor: the unified Exec_opts API, resource
-   governance charged inside plan operators (not just between them),
-   data-parallel loop fragments, and the service layer's plan cache and
-   counters.
+(* The compiled plan executor (the Fast mode): the unified Exec_opts
+   API, resource governance charged inside plan operators (not just
+   between them), data-parallel loop fragments, and the service layer's
+   plan cache and counters.
 
    Result identity against the seed algorithms is covered by the
-   four-way randomized oracle in test_eval_perf; this file covers the
+   three-way randomized oracle in test_eval_perf; this file covers the
    properties the oracle can't see — budgets tripping mid-plan, parallel
    determinism, and accounting. *)
 
@@ -18,7 +18,7 @@ let int_t = Alcotest.int
 let bool_t = Alcotest.bool
 
 let plan_opts ?limits ?context_item ?pool () =
-  E.Exec_opts.make ~mode:E.Exec_opts.Plan ?limits ?context_item ?pool ()
+  E.Exec_opts.make ~mode:E.Exec_opts.Fast ?limits ?context_item ?pool ()
 
 let run_plan ?limits ?context_item ?pool q =
   E.run ~opts:(plan_opts ?limits ?context_item ?pool ()) (E.compile q)
@@ -36,21 +36,23 @@ let test_exec_opts_defaults () =
   check bool_t "no limits" true (d.E.Exec_opts.limits = None);
   check bool_t "full level" true (d.E.Exec_opts.level = E.Exec_opts.Full);
   check bool_t "no pool" true (d.E.Exec_opts.pool = None);
-  check string_t "mode names round-trip" "plan"
-    (E.Exec_opts.mode_name E.Exec_opts.Plan);
+  check string_t "mode names round-trip" "fast"
+    (E.Exec_opts.mode_name E.Exec_opts.Fast);
   (match E.Exec_opts.mode_of_string "seed" with
   | Ok E.Exec_opts.Seed -> ()
   | _ -> Alcotest.fail "mode_of_string seed");
-  match E.Exec_opts.mode_of_string "turbo" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown mode accepted"
+  List.iter
+    (fun m ->
+      match E.Exec_opts.mode_of_string m with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "unknown mode %s accepted" m)
+    [ "turbo"; "plan" ]
 
 let test_run_modes_agree () =
   let q = "for $x in 1 to 5 return $x * $x" in
   let c = E.compile q in
   let run mode = V.to_display_string (E.run ~opts:(E.Exec_opts.make ~mode ()) c) in
-  check string_t "seed = fast" (run E.Exec_opts.Seed) (run E.Exec_opts.Fast);
-  check string_t "seed = plan" (run E.Exec_opts.Seed) (run E.Exec_opts.Plan)
+  check string_t "seed = fast" (run E.Exec_opts.Seed) (run E.Exec_opts.Fast)
 
 let test_plan_memoized () =
   let c = E.compile "1 + 1" in
@@ -62,7 +64,7 @@ let test_plan_memoized () =
 
 let test_explain_renders_plan () =
   let c = E.compile "/doc/a/b" in
-  let text = E.explain c ~mode:E.Exec_opts.Plan in
+  let text = E.explain c ~mode:E.Exec_opts.Fast in
   check bool_t "mentions the pipeline" true
     (Astring.String.is_infix ~affix:"child::a" text);
   check bool_t "mentions the rewriter stats" true
@@ -204,7 +206,7 @@ let test_parallel_respects_finite_budgets () =
 let plan_svc ?(domains = 1) () =
   Service.create
     ~config:
-      { Service.default_config with Service.domains; mode = E.Exec_opts.Plan }
+      { Service.default_config with Service.domains }
     ()
 
 let test_service_plan_counters () =
@@ -229,8 +231,7 @@ let test_service_run_query_budget () =
       ~config:
         {
           Service.default_config with
-          Service.mode = E.Exec_opts.Plan;
-          fuel = Some 1_000;
+          Service.fuel = Some 1_000;
         }
       ()
   in
@@ -284,7 +285,7 @@ let suite =
     ( "plan.exec-opts",
       [
         Alcotest.test_case "defaults and mode parsing" `Quick test_exec_opts_defaults;
-        Alcotest.test_case "three modes, one answer" `Quick test_run_modes_agree;
+        Alcotest.test_case "two modes, one answer" `Quick test_run_modes_agree;
         Alcotest.test_case "plan is memoized on the compiled record" `Quick
           test_plan_memoized;
         Alcotest.test_case "explain renders the plan" `Quick test_explain_renders_plan;

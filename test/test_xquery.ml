@@ -489,7 +489,7 @@ let test_dead_let_elimination () =
   | None -> Alcotest.fail "optimizer should have run");
   (* The program still runs — and prints nothing: the paper's problem. *)
   let traced = ref [] in
-  let result = E.execute ~trace_out:(fun s -> traced := s :: !traced) compiled in
+  let result = E.run ~opts:(E.Exec_opts.make ~trace_out:(fun s -> traced := s :: !traced) ()) compiled in
   check string_t "result unchanged" "3" (V.to_display_string result);
   check int_t "no trace output: silently optimized away" 0 (List.length !traced)
 
@@ -500,7 +500,7 @@ let test_insinuated_trace_survives () =
       "let $x := trace(1, 'x=') let $y := 2 return $x + $y"
   in
   let traced = ref [] in
-  let result = E.execute ~trace_out:(fun s -> traced := s :: !traced) compiled in
+  let result = E.run ~opts:(E.Exec_opts.make ~trace_out:(fun s -> traced := s :: !traced) ()) compiled in
   check string_t "result" "3" (V.to_display_string result);
   check int_t "trace survives" 1 (List.length !traced)
 
@@ -511,7 +511,7 @@ let test_default_mode_keeps_traces () =
     E.compile "let $dummy := trace('v', 'lbl') return 7"
   in
   let traced = ref [] in
-  let result = E.execute ~trace_out:(fun s -> traced := s :: !traced) compiled in
+  let result = E.run ~opts:(E.Exec_opts.make ~trace_out:(fun s -> traced := s :: !traced) ()) compiled in
   check string_t "result" "7" (V.to_display_string result);
   check int_t "trace preserved" 1 (List.length !traced)
 
